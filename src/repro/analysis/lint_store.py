@@ -28,7 +28,9 @@ from typing import Optional, Tuple
 from ..store import backend as store_backend
 from ..store import keys as store_keys
 from .diagnostics import LintReport
-from .symbolic import ANALYZER_VERSION, ActionAnalysis
+from .symbolic import (
+    ANALYZER_VERSION, ActionAnalysis, _retarget, analysis_material,
+)
 
 __all__ = [
     "lint_config_material",
@@ -86,10 +88,7 @@ def _report_key(target, config) -> str:
 def _analysis_key(action, variables, kind: str, config) -> str:
     return store_keys.digest("lint-action", (
         store_keys.action_material(action),
-        tuple(store_keys._variable_material(v) for v in variables),
-        kind,
-        (config.solver_budget, config.translation_limit,
-         config.translation_samples, config.seed),
+        *analysis_material(variables, kind, config),
         ANALYZER_VERSION,
     ))
 
@@ -119,23 +118,6 @@ def record_report(target, config, report: LintReport) -> None:
         store.put(_report_key(target, config), store_backend.dumps(report))
     except Exception:
         pass
-
-
-def _retarget(analysis: ActionAnalysis, target: str) -> ActionAnalysis:
-    """Analysis certificates are shared across targets (the key covers
-    only the action and its variable context), so the target label is
-    re-stamped at replay time."""
-    return dataclasses.replace(
-        analysis,
-        diagnostics=tuple(
-            dataclasses.replace(d, target=target)
-            for d in analysis.diagnostics
-        ),
-        proofs=tuple(
-            dataclasses.replace(p, target=target)
-            for p in analysis.proofs
-        ),
-    )
 
 
 def lookup_analysis(

@@ -19,7 +19,10 @@ lint`` cheap enough to run on every catalogue entry in CI while
 When a certificate store is active (``repro lint --store``), whole
 reports and per-action symbolic analyses are content-addressed through
 :mod:`repro.analysis.lint_store`: a warm run replays everything, and
-editing one action re-analyzes exactly that action.
+editing one action re-analyzes exactly that action.  Within one
+process the per-action verdicts (symbolic analyses and frame probes)
+are also memoized without the target, so a composed program re-checks
+only the actions its siblings do not share.
 """
 
 from __future__ import annotations
@@ -32,14 +35,17 @@ from ..core.faults import FaultClass
 from ..core.predicate import Predicate
 from ..core.program import Program
 from ..core.specification import Spec
-from ..core.state import Schema, State
-from .diagnostics import LintReport, Proof, Suppression
+from ..core.state import Schema, State, Variable
+from .diagnostics import Diagnostic, LintReport, Proof, Suppression
 from .frames import check_frames
 from .guards import check_guards
 from .interference import check_interference
-from .probe import build_probe
+from .probe import ProbeSet, build_probe
 from .specs import check_closure, check_spec
-from .symbolic import ActionAnalysis, GuardSolver, analyze_action
+from .symbolic import (
+    ActionAnalysis, GuardSolver, analyze_action, memoized, restamp,
+    variables_material,
+)
 from .symmetry_lint import check_symmetry
 from . import lint_store
 
@@ -171,6 +177,31 @@ def _symbolic_pass(
     return analyses
 
 
+def _frame_verdicts(
+    action: Action,
+    variables: Sequence[Variable],
+    probe: ProbeSet,
+    target: str,
+    config: LintConfig,
+) -> Tuple[Diagnostic, ...]:
+    """:func:`check_frames` for one action, memoized beside its symbolic
+    analyses.  The probe is a function of the variables, ``probe_limit``
+    and ``seed``, so those and the check's own knobs make the key; an
+    action shared by several targets is probed once."""
+    key = (
+        "frames", variables_material(variables),
+        config.probe_limit, config.seed, config.suggest_frames,
+        config.pair_budget, config.alt_limit,
+    )
+    verdicts = memoized(action, key, lambda: tuple(check_frames(
+        action, variables, probe,
+        suggest=config.suggest_frames,
+        pair_budget=config.pair_budget,
+        alt_limit=config.alt_limit,
+    )))
+    return restamp(verdicts, target)
+
+
 def lint(target: LintTarget, config: Optional[LintConfig] = None) -> LintReport:
     """Run every applicable rule over ``target``."""
     config = config or LintConfig()
@@ -207,13 +238,8 @@ def lint(target: LintTarget, config: Optional[LintConfig] = None) -> LintReport:
         analysis = analyses.get(action.name)
         if analysis is not None and analysis.validated and analysis.covers_frames:
             continue
-        report.extend(check_frames(
-            action, program.variables, probe,
-            target=target.name,
-            suggest=config.suggest_frames,
-            pair_budget=config.pair_budget,
-            alt_limit=config.alt_limit,
-        ))
+        report.extend(_frame_verdicts(action, program.variables, probe,
+                                      target.name, config))
 
     # guard satisfiability — symbolic verdicts (proven satisfiable /
     # dead / stutter) replace the probe scan where available

@@ -29,9 +29,11 @@ verdicts into diagnostics and :class:`~.diagnostics.Proof` records:
   decomposition on large ones; ``DC511``/``DC512``), then frame and
   guard verdicts from the validated IR.
 
-Every verdict is deterministic in the action's content, which is what
-lets :mod:`repro.analysis.lint_store` cache analyses in the
-content-addressed certificate store and replay them across processes.
+Every verdict is deterministic in the action's content and its
+variables, and none depends on the lint target, which is what lets
+:mod:`repro.analysis.lint_store` cache analyses in the
+content-addressed certificate store and replay them across processes,
+and lets the in-process memo share them across the targets of one run.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from __future__ import annotations
 import itertools
 import random
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import (
     Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple,
 )
@@ -52,6 +54,7 @@ from ..core.kernels import (
     row_kernel,
 )
 from ..core.state import State, Variable, _state_of, state_space
+from ..store import keys as store_keys
 from .diagnostics import Diagnostic, Proof, Severity
 from .probe import raw_successors
 
@@ -446,16 +449,68 @@ class ActionAnalysis:
         )
 
 
-#: action -> {analysis key: ActionAnalysis}
+#: action -> {memo key: target-free verdict}.  Holds the symbolic
+#: analyses and the linter's probe-based frame verdicts; neither key
+#: names a target, so a composed program reuses the verdicts of every
+#: action it shares with a program linted before it.
 _ANALYSES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
 def clear_symbolic_caches() -> None:
-    """Drop memoized truth tables and per-action analyses.  Wired into
+    """Drop memoized truth tables and per-action verdicts.  Wired into
     :func:`repro.core.exploration.clear_all_caches` so cold runs redo
     symbolic work like any other cache miss."""
     _TRUTH_TABLES.clear()
     _ANALYSES.clear()
+
+
+def memoized(action: Action, key: Tuple, compute: Callable[[], object]):
+    """``compute()``, run once per action object and ``key`` until the
+    caches are cleared (see ``_ANALYSES``)."""
+    memo = _ANALYSES.get(action)
+    if memo is None:
+        memo = _ANALYSES[action] = {}
+    found = memo.get(key)
+    if found is None:
+        found = memo[key] = compute()
+    return found
+
+
+def variables_material(variables: Sequence[Variable]) -> Tuple:
+    """Each variable's name and domain, in declaration order."""
+    return tuple(store_keys._variable_material(v) for v in variables)
+
+
+def analysis_material(
+    variables: Sequence[Variable], kind: str, config
+) -> Tuple:
+    """What an analysis depends on besides the action itself: the
+    variables, the ``kind`` label its messages use, and the symbolic
+    budgets.  The in-process memo pairs it with the action's identity
+    and the certificate store with the action's content, so both reuse
+    an analysis under exactly the same conditions."""
+    return (
+        variables_material(variables),
+        kind,
+        (config.solver_budget, config.translation_limit,
+         config.translation_samples, config.seed),
+    )
+
+
+def restamp(records: Iterable, target: str) -> Tuple:
+    """Copies of diagnostics or proofs labelled with ``target``."""
+    return tuple(replace(r, target=target) for r in records)
+
+
+def _retarget(analysis: ActionAnalysis, target: str) -> ActionAnalysis:
+    """The analysis labelled with ``target``.  Analyses are shared
+    across targets (in process and through the store), so the label is
+    stamped on the way out of either cache."""
+    return replace(
+        analysis,
+        diagnostics=restamp(analysis.diagnostics, target),
+        proofs=restamp(analysis.proofs, target),
+    )
 
 
 def _successor_tuple(
@@ -477,7 +532,6 @@ def _translation_mismatch(
     expected: Tuple[Tuple, ...],
     got: Optional[Tuple],
     names: Tuple[str, ...],
-    target: str,
     sampled: bool,
 ) -> Diagnostic:
     def render(values: Optional[Tuple]) -> str:
@@ -503,7 +557,6 @@ def _translation_mismatch(
             f"plan yields {render(got)}, interpretation yields "
             f"{interpreted}"
         ),
-        target=target,
         action=action.name,
         evidence=f"{render(state_values)}: plan {render(got)} vs "
                  f"interpreted {interpreted}",
@@ -519,7 +572,6 @@ def _validate_translation(
     variables: Sequence[Variable],
     schema,
     space_size: int,
-    target: str,
     config,
 ) -> Tuple[str, List[Diagnostic]]:
     """Prove (or refute) plan ≡ interpreted action.
@@ -548,7 +600,6 @@ def _validate_translation(
                     f"guard or statement of {action.name!r} raised "
                     f"{type(exc).__name__}: {exc}"
                 ),
-                target=target,
                 action=action.name,
                 evidence=repr(state),
                 hint="guards and statements must be total on the full "
@@ -559,7 +610,7 @@ def _validate_translation(
         if got != single or len(expected) > 1:
             return _translation_mismatch(
                 action, state.values_tuple, expected, got,
-                names, target, sampled,
+                names, sampled,
             )
         return None
 
@@ -621,7 +672,6 @@ def _subexpression_diagnostics(
     solver: GuardSolver,
     guard: Tuple,
     action: Action,
-    target: str,
     root_satisfiable: Optional[bool],
 ) -> List[Diagnostic]:
     """``DC501`` (dead sub-expression) / ``DC502`` (tautological
@@ -651,7 +701,6 @@ def _subexpression_diagnostics(
                         f"{action.name!r} is unsatisfiable: the branch "
                         f"is dead code"
                     ),
-                    target=target,
                     action=action.name,
                     hint="check the comparison against the variable "
                          "domains; an always-false conjunct usually "
@@ -671,7 +720,6 @@ def _subexpression_diagnostics(
                         + ("" if is_root else
                            "; it never constrains the guard")
                     ),
-                    target=target,
                     action=action.name,
                     hint="drop the redundant test (or write ('true',) "
                          "if the action is meant to be always enabled)",
@@ -692,7 +740,6 @@ def _frame_diagnostics(
     table: PlanTable,
     variable_names: FrozenSet[str],
     satisfiable: bool,
-    target: str,
 ) -> Tuple[List[Diagnostic], List[Proof], FrozenSet[str], FrozenSet[str]]:
     """Exact DC101/DC102/DC103/DC104/DC105 from the plan table."""
     diagnostics: List[Diagnostic] = []
@@ -715,7 +762,6 @@ def _frame_diagnostics(
                 f"action {action.name!r} declares no reads/writes frame; "
                 "the successor memo stays off"
             ),
-            target=target,
             action=action.name,
             hint="declare reads={%s}, writes={%s} (exact, from the plan)"
                  % (", ".join(repr(n) for n in sorted(exact_reads)),
@@ -734,7 +780,6 @@ def _frame_diagnostics(
                 f"{'writes' if missing == 'reads' else 'reads'} but not "
                 f"{missing}; the successor memo needs both and is disabled"
             ),
-            target=target,
             action=action.name,
             hint=f"declare {missing} as well (or drop the frame entirely)",
         ))
@@ -750,7 +795,6 @@ def _frame_diagnostics(
                 f"frame of {action.name!r} names unknown variable(s) "
                 f"{sorted(unknown)}"
             ),
-            target=target,
             action=action.name,
             variables=tuple(sorted(unknown)),
             hint="frames may only name the program's variables",
@@ -766,7 +810,6 @@ def _frame_diagnostics(
                 f"outside its declared writes frame (proven from the "
                 f"plan IR)"
             ),
-            target=target,
             action=action.name,
             variables=(name,),
             evidence=row_evidence(write_rows[name]),
@@ -788,7 +831,6 @@ def _frame_diagnostics(
                 f"{name}={a[position]!r} vs {name}={b[position]!r} "
                 f"behave differently (proven from the plan IR)"
             ),
-            target=target,
             action=action.name,
             variables=(name,),
             evidence=row_evidence(row_a),
@@ -815,7 +857,6 @@ def _frame_diagnostics(
                     f"would mask a variable that is carried through "
                     f"(proven from the plan IR)"
                 ),
-                target=target,
                 action=action.name,
                 variables=(name,),
                 hint=f"drop {name!r} from writes (or add an effect that "
@@ -831,7 +872,6 @@ def _frame_diagnostics(
                 f"(reads={sorted(exact_reads)}, "
                 f"writes={sorted(exact_writes)}) on the full space"
             ),
-            target=target,
             action=action.name,
         ))
     return diagnostics, proofs, exact_reads, exact_writes
@@ -845,11 +885,16 @@ def analyze_action(
     kind: str = "action",
     config=None,
 ) -> ActionAnalysis:
-    """The full symbolic verdict for one action (memoized).
+    """The full symbolic verdict for one action, labelled ``target``.
 
     Actions without a plan (or whose plan fails translation validation)
     come back with ``covers_frames``/``covers_guards`` False and the
     linter falls back to the differential probe for them.
+
+    Memoized per action object on :func:`analysis_material`, not on the
+    target: an action shared by several programs over the same
+    variables is analyzed once.  ``schema`` must be the schema of
+    ``variables``.
     """
     from .linter import LintConfig
 
@@ -858,26 +903,13 @@ def analyze_action(
     if plan is None or getattr(action, "_base", None) is not None:
         return ActionAnalysis(action=action.name, translation="unplanned")
 
-    config_key = (
-        config.solver_budget, config.translation_limit,
-        config.translation_samples, config.seed,
+    analysis = memoized(
+        action,
+        ("analysis",) + analysis_material(variables, kind, config),
+        lambda: _analyze_uncached(action, plan, variables, schema, kind,
+                                  config),
     )
-    domains = {v.name: tuple(v.domain) for v in variables}
-    memo_key = (
-        schema, tuple(sorted(domains.items())), target, kind, config_key,
-    )
-    per_action = _ANALYSES.get(action)
-    if per_action is None:
-        per_action = _ANALYSES[action] = {}
-    found = per_action.get(memo_key)
-    if found is not None:
-        return found
-
-    analysis = _analyze_uncached(
-        action, plan, variables, schema, domains, target, kind, config
-    )
-    per_action[memo_key] = analysis
-    return analysis
+    return _retarget(analysis, target)
 
 
 def _analyze_uncached(
@@ -885,11 +917,10 @@ def _analyze_uncached(
     plan: Plan,
     variables: Sequence[Variable],
     schema,
-    domains: Dict[str, Tuple],
-    target: str,
     kind: str,
     config,
 ) -> ActionAnalysis:
+    domains = {v.name: tuple(v.domain) for v in variables}
     diagnostics: List[Diagnostic] = []
     proofs: List[Proof] = []
 
@@ -904,7 +935,6 @@ def _analyze_uncached(
                 f"this schema; kernels fall back to interpretation and "
                 f"nothing was proven about it"
             ),
-            target=target,
             action=action.name,
             hint="the plan names an unknown variable or a value outside "
                  "its domain; fix the plan or the declared domains",
@@ -918,7 +948,7 @@ def _analyze_uncached(
     for variable in variables:
         space_size *= len(variable.domain)
     status, translation_diags = _validate_translation(
-        action, kernel, variables, schema, space_size, target, config
+        action, kernel, variables, schema, space_size, config
     )
     diagnostics.extend(translation_diags)
     if status in ("refuted", "failed"):
@@ -936,7 +966,6 @@ def _analyze_uncached(
                f"the support product and single-variable sweeps of a "
                f"{space_size}-state space")
         ),
-        target=target,
         action=action.name,
     ))
 
@@ -953,7 +982,6 @@ def _analyze_uncached(
                 f"guard of {kind} {action.name!r} is unsatisfiable: "
                 f"the action is dead code (proven from the plan IR)"
             ),
-            target=target,
             action=action.name,
             hint="check the guard against the variable domains",
         ))
@@ -968,11 +996,10 @@ def _analyze_uncached(
             rule=RULE_GUARDS,
             method="solver",
             detail=detail,
-            target=target,
             action=action.name,
         ))
     diagnostics.extend(_subexpression_diagnostics(
-        solver, plan.guard, action, target, satisfiable
+        solver, plan.guard, action, satisfiable
     ))
 
     table = plan_frame_table(plan, domains, budget=config.solver_budget)
@@ -997,13 +1024,12 @@ def _analyze_uncached(
                     f"changes the state (proven from the plan IR: "
                     f"self-loops only)"
                 ),
-                target=target,
                 action=action.name,
                 hint="a pure stutter action; drop it unless the "
                      "self-loop is intentional",
             ))
         frame_diags, frame_proofs, reads, writes = _frame_diagnostics(
-            action, table, variable_names, bool(satisfiable), target
+            action, table, variable_names, bool(satisfiable)
         )
         diagnostics.extend(frame_diags)
         proofs.extend(frame_proofs)

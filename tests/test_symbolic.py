@@ -544,16 +544,147 @@ class TestCacheDrain:
         second = lint(target).to_dict()
         assert first == second
 
-    def test_memo_serves_repeat_analyses(self):
+    def test_memo_serves_repeat_analyses(self, monkeypatch):
         from repro.programs import token_ring
 
         model = token_ring.build(3)
         variables = model.ring.variables
         schema = Schema.of(tuple(v.name for v in variables))
         action = model.ring.actions[0]
+        sweeps = _count_calls(monkeypatch, symbolic, "_validate_translation")
+        clear_all_caches()
         first = analyze_action(action, variables, schema, target="t")
+        assert len(sweeps) == 1
         second = analyze_action(action, variables, schema, target="t")
-        assert first is second
+        assert second == first
+        # a memo hit under another target is relabelled, not recomputed
+        other = analyze_action(action, variables, schema, target="u")
+        assert len(sweeps) == 1
+        assert other.proofs
+        assert all(p.target == "u" for p in other.proofs)
+        assert all(p.target == "t" for p in second.proofs)
+
+
+def _count_calls(monkeypatch, module, name):
+    """Wrap ``module.name`` so each call appends its first argument's
+    name to the returned list."""
+    calls = []
+    real = getattr(module, name)
+
+    def counting(first, *args, **kwargs):
+        calls.append(first.name)
+        return real(first, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+class TestCrossTargetReuse:
+    """Per-action verdicts are keyed like the certificate store keys
+    them — action, variables, kind and budgets, never the target — so a
+    composed program reuses what its siblings already established."""
+
+    @pytest.mark.parametrize(
+        "entry", ["byzantine", "mutual_exclusion", "tmr", "barrier"]
+    )
+    def test_sibling_reuse_matches_isolated_lint(self, entry):
+        clear_all_caches()
+        after_siblings = [
+            lint(t).to_dict() for t in catalogue_module.lint_targets(entry)
+        ]
+        for target, shared in zip(
+            catalogue_module.lint_targets(entry), after_siblings
+        ):
+            clear_all_caches()
+            assert lint(target).to_dict() == shared, target.name
+
+    def test_masking_proves_only_what_failsafe_lacks(self, monkeypatch):
+        from repro.analysis import linter as linter_module
+
+        clear_all_caches()
+        failsafe, masking = catalogue_module.lint_targets("byzantine")
+        lint(failsafe)
+        sweeps = _count_calls(monkeypatch, symbolic, "_validate_translation")
+        probes = _count_calls(monkeypatch, linter_module, "check_frames")
+        lint(masking)
+
+        def linted(target):
+            return target.program.actions + target.faults.actions
+
+        seen = {id(a) for a in linted(failsafe)}
+        new_planned = [
+            a.name for a in linted(masking)
+            if a.plan is not None and id(a) not in seen
+        ]
+        shared_unplanned = [
+            a.name for a in linted(masking)
+            if a.plan is None and id(a) in seen
+        ]
+        assert len(new_planned) == 3
+        assert len(shared_unplanned) == 7
+        assert sorted(sweeps) == sorted(new_planned)
+        assert not set(probes) & set(shared_unplanned)
+
+    def test_domain_change_is_not_a_memo_hit(self):
+        # the interpreted guard is x != 1, the plan says x == 0: the two
+        # agree on {0, 1} and disagree only at x = 2
+        drifted = Action(
+            "drifted",
+            Predicate(lambda s: s["x"] != 1, name="x!=1"),
+            assign(x=1),
+            reads={"x"}, writes={"x"},
+            plan=Plan(("eq_const", "x", 0), [("set_const", "x", 1)]),
+        )
+        narrow = Program([Variable("x", [0, 1])], [drifted], name="narrow")
+        wide = Program([Variable("x", [0, 1, 2])], [drifted], name="wide")
+        clear_all_caches()
+        assert "DC511" not in [
+            d.code for d in lint(LintTarget(name="narrow", program=narrow))
+            .diagnostics
+        ]
+        report = lint(LintTarget(name="wide", program=wide))
+        assert [d.code for d in report.errors()] == ["DC511"]
+        assert report.errors()[0].target == "wide"
+
+    def test_suppression_stays_with_its_target(self):
+        x = Variable("x", [0, 1])
+        # DC502 comes from the symbolic analysis, DC103 from the frame
+        # probe: one shared finding of each memo
+        always = Action(
+            "always",
+            Predicate(lambda s: True, name="true"),
+            assign(x=0),
+            reads={"x"}, writes={"x"},
+            plan=Plan(("or", ("eq_const", "x", 0), ("ne_const", "x", 0)),
+                      [("set_const", "x", 0)]),
+        )
+        unframed = Action(
+            "unframed", Predicate(lambda s: s["x"] == 0, name="x=0"),
+            assign(x=1),
+        )
+        program = Program([x], [always, unframed], name="shared")
+        waived = LintTarget(
+            name="waived", program=program,
+            suppressions=(
+                Suppression(code="DC502", justification="deliberate"),
+                Suppression(code="DC103", justification="deliberate"),
+            ),
+        )
+        plain = LintTarget(name="plain", program=program)
+        clear_all_caches()
+        first = lint(waived)
+        second = lint(plain)
+        for report, target, suppressed in (
+            (first, "waived", True), (second, "plain", False),
+        ):
+            found = {
+                d.code: d for d in report.diagnostics
+                if d.code in ("DC502", "DC103")
+            }
+            assert sorted(found) == ["DC103", "DC502"]
+            for d in found.values():
+                assert d.suppressed is suppressed
+                assert d.target == target
 
 
 # ---------------------------------------------------------------------------

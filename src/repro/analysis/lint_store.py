@@ -98,10 +98,9 @@ def lookup_report(target, config) -> Optional[LintReport]:
     if store is None:
         return None
     try:
-        payload = store.get(_report_key(target, config))
-        if payload is None:
-            return None
-        report = store_backend.loads(payload)
+        report = store_backend.try_loads(
+            store.get(_report_key(target, config))
+        )
     except Exception:
         return None
     if not isinstance(report, LintReport):
@@ -127,10 +126,9 @@ def lookup_analysis(
     if store is None:
         return None
     try:
-        payload = store.get(_analysis_key(action, variables, kind, config))
-        if payload is None:
-            return None
-        analysis = store_backend.loads(payload)
+        analysis = store_backend.try_loads(
+            store.get(_analysis_key(action, variables, kind, config))
+        )
     except Exception:
         return None
     if not isinstance(analysis, ActionAnalysis):

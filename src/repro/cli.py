@@ -301,6 +301,9 @@ def _store_stats_line(out=sys.stdout) -> None:
             replayed.append(f"{count} {label}")
     if replayed:
         line += " (" + ", ".join(replayed) + ")"
+    corrupt = stats.get("corrupt", 0)
+    if corrupt:
+        line += f"; {corrupt} undecodable entries recomputed"
     print(line, file=out)
 
 

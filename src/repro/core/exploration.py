@@ -453,7 +453,7 @@ class TransitionSystem:
             # a start value escaped its declared domain; codes cannot
             # represent it, so the bucket engines take over
             return False
-        np = _kernels._np
+        np = _kernels.numpy_module()
 
         names_p = np.array([a.name for a in program_actions], dtype=object)
         names_f = np.array([a.name for a in fault_actions], dtype=object)
@@ -583,7 +583,7 @@ class TransitionSystem:
         domains = self.program._domains
         backend = _kernels.resolved_backend()
         layout = None
-        if backend == "numpy":
+        if backend == "numpy" and _kernels.numpy_module() is not None:
             layout = _kernels.layout_for(schema, domains)
         use_numpy = layout is not None
         program_actions = self.program.actions

@@ -40,12 +40,12 @@ from collections import deque
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .exploration import TransitionSystem
+from .kernels import numpy_module
 from .predicate import Predicate
 from .regions import (
     Region,
     SystemIndex,
     _data_to_mask,
-    _np,
     bits_of_ids,
     first_bit,
     iter_bits,
@@ -222,8 +222,9 @@ def _fair_recurrent_component_ids(
             # self-loop) survives the trim, so restricting both the
             # roots and the adjacency to the core drops only trivial
             # components — which are filtered below anyway
-            region_data = _np.packbits(core, bitorder="little").tobytes()
-            node_ids = _np.flatnonzero(core).tolist()
+            np = numpy_module()
+            region_data = np.packbits(core, bitorder="little").tobytes()
+            node_ids = np.flatnonzero(core).tolist()
         else:
             node_ids = list(iter_bits(region_bits, n))
         components = _tarjan_ids(node_ids, internal)
@@ -284,19 +285,20 @@ def _cycle_core(index: SystemIndex, region_data: bytes, n: int):
     the dominant shape in stabilization certificates — trim to a small
     fraction of the region in a few passes."""
     csr = index._edge_csr(False)
-    if csr is None or _np is None:
+    if csr is None:
         return None
+    np = numpy_module()
     indptr, dst, _act, _names = csr
     alive = _data_to_mask(region_data, n)
-    src = _np.repeat(_np.arange(n, dtype=_np.int64), _np.diff(indptr))
+    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
     inside = alive[src] & alive[dst]
     src = src[inside]
     dst = dst[inside]
     count = int(alive.sum())
     while True:
         live = alive[src] & alive[dst]
-        out_deg = _np.bincount(src[live], minlength=n)
-        in_deg = _np.bincount(dst[live], minlength=n)
+        out_deg = np.bincount(src[live], minlength=n)
+        in_deg = np.bincount(dst[live], minlength=n)
         alive &= (out_deg > 0) & (in_deg > 0)
         next_count = int(alive.sum())
         if next_count == count:
@@ -320,23 +322,24 @@ def _vet_components_csr(
     columnar edge arrays behind (the caller then runs the reference
     loops) — semantics are identical either way."""
     csr = index._edge_csr(False)
-    if csr is None or _np is None:
+    if csr is None:
         return None
+    np = numpy_module()
     indptr, dst, act, names = csr
     ncomp = len(components)
-    comp = _np.full(index.n, -1, dtype=_np.int64)
+    comp = np.full(index.n, -1, dtype=np.int64)
     for ci, nodes in enumerate(components):
         comp[nodes] = ci
-    src_comp = _np.repeat(comp, _np.diff(indptr))
+    src_comp = np.repeat(comp, np.diff(indptr))
     internal_edge = (src_comp >= 0) & (src_comp == comp[dst])
     pair = src_comp[internal_edge] * len(names) + act[internal_edge]
     labels: List[Set[str]] = [set() for _ in range(ncomp)]
-    for key in _np.unique(pair).tolist():
+    for key in np.unique(pair).tolist():
         labels[key // len(names)].add(names[key % len(names)])
 
-    member_ids = _np.flatnonzero(comp >= 0)
+    member_ids = np.flatnonzero(comp >= 0)
     member_comp = comp[member_ids]
-    sizes = _np.bincount(member_comp, minlength=ncomp)
+    sizes = np.bincount(member_comp, minlength=ncomp)
     starved_cache: Dict[int, object] = {}
 
     def starved(oi: int, actions) -> "object":
@@ -345,7 +348,7 @@ def _vet_components_csr(
             enabled = _data_to_mask(index.enabled_data(actions[0]), index.n)
             for action in actions[1:]:
                 enabled |= _data_to_mask(index.enabled_data(action), index.n)
-            count = _np.bincount(
+            count = np.bincount(
                 member_comp, weights=enabled[member_ids], minlength=ncomp
             )
             mask = starved_cache[oi] = count == sizes

@@ -57,15 +57,11 @@ pre-state)::
 
 from __future__ import annotations
 
+import importlib.util
 import weakref
 from typing import Callable, Dict, Hashable, Iterable, List, Optional, Tuple
 
 from .state import State, _state_of, state_space
-
-try:  # numpy is optional: every kernel has a pure-python twin
-    import numpy as _np
-except Exception:  # pragma: no cover - exercised on numpy-less installs
-    _np = None
 
 __all__ = [
     "ENGINE_VERSION",
@@ -77,6 +73,7 @@ __all__ = [
     "get_backend",
     "resolved_backend",
     "numpy_available",
+    "numpy_module",
     "row_kernel",
     "batch_kernel",
     "explore_codes",
@@ -159,8 +156,45 @@ _BACKENDS = ("auto", "numpy", "pure", "interpreted")
 _backend = "auto"
 
 
+#: the numpy module once :func:`numpy_module` imported it, ``None`` after
+#: a failed import, :data:`_UNLOADED` before the first attempt
+_UNLOADED = object()
+_np = _UNLOADED
+#: whether a numpy spec is on the import path (probed once, lazily)
+_np_on_path: Optional[bool] = None
+
+
+def numpy_module():
+    """numpy, imported on first call — or ``None`` when it cannot be
+    imported (every kernel has a pure-python twin).
+
+    Importing numpy costs more than a warm CLI call spends working, so
+    nothing imports it at module load.  Every numpy user calls this once
+    per call and binds the result locally, never once per element."""
+    global _np
+    if _np is _UNLOADED:
+        try:
+            import numpy
+        except Exception:  # a numpy on disk that fails to import
+            numpy = None
+        _np = numpy
+    return _np
+
+
 def numpy_available() -> bool:
-    return _np is not None
+    """Whether the numpy backend can run, answered without importing
+    numpy: the outcome of the import once one was tried, else whether
+    numpy is on the import path (``sys.modules["numpy"] = None`` blocks
+    it, like a failed import)."""
+    global _np_on_path
+    if _np is not _UNLOADED:
+        return _np is not None
+    if _np_on_path is None:
+        try:
+            _np_on_path = importlib.util.find_spec("numpy") is not None
+        except (ImportError, ValueError):
+            _np_on_path = False
+    return _np_on_path
 
 
 def set_backend(backend: str) -> None:
@@ -173,7 +207,7 @@ def set_backend(backend: str) -> None:
         raise ValueError(
             f"unknown kernel backend {backend!r}; choose from {_BACKENDS}"
         )
-    if backend == "numpy" and _np is None:
+    if backend == "numpy" and numpy_module() is None:
         raise KernelError("numpy backend requested but numpy is unavailable")
     _backend = backend
 
@@ -185,7 +219,7 @@ def get_backend() -> str:
 def resolved_backend() -> str:
     """The backend batched exploration will actually run."""
     if _backend == "auto":
-        return "numpy" if _np is not None else "pure"
+        return "numpy" if numpy_available() else "pure"
     return _backend
 
 
@@ -222,9 +256,8 @@ class Layout:
             {value: rank for rank, value in enumerate(domain)}
             for domain in domains
         )
-        self._strides_arr = (
-            _np.array(strides, dtype=_np.int64) if _np is not None else None
-        )
+        #: int64 strides vector, built by the first :meth:`pack_columns`
+        self._strides_arr = None
 
     # -- scalar paths ------------------------------------------------------
     def pack_values(self, values: Tuple[Hashable, ...]) -> int:
@@ -246,6 +279,7 @@ class Layout:
     # -- numpy paths -------------------------------------------------------
     def columns_from_states(self, states) -> "object":
         """``(vars, N)`` int64 rank matrix of a state sequence."""
+        np = numpy_module()
         ranks = self.ranks
         flat = [
             rank[value]
@@ -253,19 +287,26 @@ class Layout:
             for rank, value in zip(ranks, state._values)
         ]
         return (
-            _np.array(flat, dtype=_np.int64)
+            np.array(flat, dtype=np.int64)
             .reshape(len(states), len(ranks))
             .T.copy()
         )
 
     def columns_from_codes(self, codes) -> "object":
-        cols = _np.empty((len(self.sizes), codes.shape[0]), dtype=_np.int64)
+        np = numpy_module()
+        cols = np.empty((len(self.sizes), codes.shape[0]), dtype=np.int64)
         for i, (stride, size) in enumerate(zip(self.strides, self.sizes)):
             cols[i] = (codes // stride) % size
         return cols
 
     def pack_columns(self, cols) -> "object":
-        return self._strides_arr @ cols
+        strides = self._strides_arr
+        if strides is None:
+            np = numpy_module()
+            strides = self._strides_arr = np.array(
+                self.strides, dtype=np.int64
+            )
+        return strides @ cols
 
     def values_from_column(self, cols, j: int) -> Tuple[Hashable, ...]:
         return tuple(
@@ -539,19 +580,21 @@ def _rank_or_sentinel(layout: Layout, name: str, value) -> int:
 def _value_lut(layout: Layout, src: str, dst: str):
     """``src-rank -> dst-rank`` translation table (copy across domains
     compares/assigns *values*, never raw ranks)."""
+    np = numpy_module()
     src_domain = layout.domains[layout.index[src]]
     dst_ranks = layout.ranks[layout.index[dst]]
-    return _np.array(
-        [dst_ranks.get(value, -1) for value in src_domain], dtype=_np.int64
+    return np.array(
+        [dst_ranks.get(value, -1) for value in src_domain], dtype=np.int64
     )
 
 
 def _majority_column(layout: Layout, names, k: int):
+    np = numpy_module()
     positions = tuple(layout.index[n] for n in names)
     ones = tuple(_rank_or_sentinel(layout, n, 1) for n in names)
 
     def majority_is_one(cols, positions=positions, ones=ones, k=k):
-        count = (cols[positions[0]] == ones[0]).astype(_np.int64)
+        count = (cols[positions[0]] == ones[0]).astype(np.int64)
         for p, r1 in zip(positions[1:], ones[1:]):
             count += cols[p] == r1
         return 2 * count > k
@@ -560,6 +603,7 @@ def _majority_column(layout: Layout, names, k: int):
 
 
 def _compile_guard_numpy(expr: Tuple, layout: Layout) -> Optional[Callable]:
+    np = numpy_module()
     op = expr[0]
     index = layout.index
     if op == "true":
@@ -597,14 +641,14 @@ def _compile_guard_numpy(expr: Tuple, layout: Layout) -> Optional[Callable]:
         r1 = _rank_or_sentinel(layout, expr[1], 1)
         majority_is_one = _majority_column(layout, expr[2], expr[3])
         def eq_majority(cols, p=p, r0=r0, r1=r1, m=majority_is_one):
-            return cols[p] == _np.where(m(cols), r1, r0)
+            return cols[p] == np.where(m(cols), r1, r0)
         if op == "eq_majority":
             return eq_majority
         return lambda cols, f=eq_majority: ~f(cols)
     if op == "not":
         sub = _compile_guard_numpy(expr[1], layout)
         if sub is None:
-            return lambda cols: _np.zeros(cols.shape[1], dtype=bool)
+            return lambda cols: np.zeros(cols.shape[1], dtype=bool)
         return lambda cols, f=sub: ~f(cols)
     subs = [_compile_guard_numpy(sub, layout) for sub in expr[1:]]
     if op == "and":
@@ -628,6 +672,7 @@ def _compile_guard_numpy(expr: Tuple, layout: Layout) -> Optional[Callable]:
 
 
 def _compile_effects_numpy(plan: Plan, layout: Layout) -> Tuple[Callable, ...]:
+    np = numpy_module()
     index = layout.index
     steps: List[Callable] = []
     for effect in plan.effects:
@@ -666,7 +711,7 @@ def _compile_effects_numpy(plan: Plan, layout: Layout) -> Tuple[Callable, ...]:
             majority_is_one = _majority_column(layout, effect[2], effect[3])
             steps.append(
                 lambda pre, out, d=d, r0=r0, r1=r1, m=majority_is_one:
-                out.__setitem__(d, _np.where(m(pre), r1, r0))
+                out.__setitem__(d, np.where(m(pre), r1, r0))
             )
     return tuple(steps)
 
@@ -684,7 +729,8 @@ def batch_kernel(action, layout: Layout) -> Optional[Callable]:
     The successor matrix has one column per enabled source column, in
     source order, so callers can zip the two results directly.
     """
-    if _np is None:
+    np = numpy_module()
+    if np is None:
         return None
     plan = getattr(action, "plan", None)
     if plan is None:
@@ -705,14 +751,14 @@ def batch_kernel(action, layout: Layout) -> Optional[Callable]:
         _validate_effects(plan, layout.index, domains)
         guard = _compile_guard_numpy(plan.guard, layout)
         steps = _compile_effects_numpy(plan, layout)
-        empty = _np.empty(0, dtype=_np.int64)
+        empty = np.empty(0, dtype=np.int64)
 
         def kernel(cols, guard=guard, steps=steps, empty=empty):
             if guard is None:
-                idx = _np.arange(cols.shape[1], dtype=_np.int64)
+                idx = np.arange(cols.shape[1], dtype=np.int64)
                 pre = cols
             else:
-                idx = _np.flatnonzero(guard(cols))
+                idx = np.flatnonzero(guard(cols))
                 if idx.size == 0:
                     return empty, None
                 pre = cols[:, idx]
@@ -742,7 +788,8 @@ def code_kernel(action, layout: Layout) -> Optional[Callable]:
     so the per-edge cost is independent of the number of variables.
     :func:`explore_codes` prefers this over :func:`batch_kernel`.
     """
-    if _np is None:
+    np = numpy_module()
+    if np is None:
         return None
     plan = getattr(action, "plan", None)
     if plan is None:
@@ -805,16 +852,16 @@ def code_kernel(action, layout: Layout) -> Optional[Callable]:
                 deltas.append(
                     lambda cols, idx, d=d, r0=r0, r1=r1, st=st,
                     m=majority_is_one:
-                    (_np.where(m(cols)[idx], r1, r0) - cols[d, idx]) * st
+                    (np.where(m(cols)[idx], r1, r0) - cols[d, idx]) * st
                 )
-        empty = _np.empty(0, dtype=_np.int64)
+        empty = np.empty(0, dtype=np.int64)
 
         def kernel(codes, cols, guard=guard, deltas=tuple(deltas),
                    empty=empty):
             if guard is None:
-                idx = _np.arange(codes.shape[0], dtype=_np.int64)
+                idx = np.arange(codes.shape[0], dtype=np.int64)
             else:
-                idx = _np.flatnonzero(guard(cols))
+                idx = np.flatnonzero(guard(cols))
                 if idx.size == 0:
                     return empty, None
             out = codes[idx]
@@ -880,9 +927,10 @@ def _code_bfs(layout: Layout, kernels, start_codes, max_states: int,
               name: str, collect: bool) -> CodeReach:
     """The BFS core shared by whole censuses and shards: expand from
     ``start_codes`` (sorted, unique) until no fresh code appears."""
+    np = numpy_module()
     use_bitmap = layout.space <= _BITMAP_SPACE_LIMIT
     if use_bitmap:
-        seen_map = _np.zeros(layout.space, dtype=bool)
+        seen_map = np.zeros(layout.space, dtype=bool)
         seen_map[start_codes] = True
     else:
         seen_sorted = start_codes
@@ -906,11 +954,11 @@ def _code_bfs(layout: Layout, kernels, start_codes, max_states: int,
                     # against everything earlier ones discovered
                     fresh = codes[~seen_map[codes]]
                     if fresh.size:
-                        fresh = _np.unique(fresh)
+                        fresh = np.unique(fresh)
                         seen_map[fresh] = True
                         fresh_parts.append(fresh)
                 else:
-                    pos = _np.searchsorted(seen_sorted, codes)
+                    pos = np.searchsorted(seen_sorted, codes)
                     pos[pos == seen_sorted.shape[0]] = 0
                     fresh = codes[seen_sorted[pos] != codes]
                     if fresh.size:
@@ -918,11 +966,11 @@ def _code_bfs(layout: Layout, kernels, start_codes, max_states: int,
         if not fresh_parts:
             break
         if use_bitmap:
-            frontier = _np.concatenate(fresh_parts)
+            frontier = np.concatenate(fresh_parts)
         else:
-            frontier = _np.unique(_np.concatenate(fresh_parts))
-            positions = _np.searchsorted(seen_sorted, frontier)
-            seen_sorted = _np.insert(seen_sorted, positions, frontier)
+            frontier = np.unique(np.concatenate(fresh_parts))
+            positions = np.searchsorted(seen_sorted, frontier)
+            seen_sorted = np.insert(seen_sorted, positions, frontier)
         total += int(frontier.shape[0])
         if total > max_states:
             raise RuntimeError(
@@ -931,7 +979,7 @@ def _code_bfs(layout: Layout, kernels, start_codes, max_states: int,
             )
     reached = None
     if collect:
-        reached = _np.flatnonzero(seen_map) if use_bitmap else seen_sorted
+        reached = np.flatnonzero(seen_map) if use_bitmap else seen_sorted
     return CodeReach(total, levels, edges, reached)
 
 
@@ -940,7 +988,8 @@ def census_start_codes(program, start_states: Iterable[State]):
     the scheduler half of a sharded census (slice the codes with
     ``numpy.array_split`` and hand each slice to
     :func:`explore_code_shard`)."""
-    if _np is None:
+    np = numpy_module()
+    if np is None:
         raise KernelError("explore_codes requires numpy")
     if isinstance(start_states, str):
         _require(
@@ -950,7 +999,7 @@ def census_start_codes(program, start_states: Iterable[State]):
         first = next(iter(state_space(program.variables)), None)
         _require(first is not None, f"{program.name!r} has an empty space")
         layout = _census_layout(program, first._schema)
-        return layout, _np.arange(layout.space, dtype=_np.int64)
+        return layout, np.arange(layout.space, dtype=np.int64)
     starts = list(start_states)
     _require(bool(starts), "census_start_codes needs at least one start")
     schema = starts[0]._schema
@@ -960,10 +1009,10 @@ def census_start_codes(program, start_states: Iterable[State]):
             "explore_codes start states must share one schema",
         )
     layout = _census_layout(program, schema)
-    codes = _np.unique(
-        _np.array(
+    codes = np.unique(
+        np.array(
             [layout.pack_values(s._values) for s in starts],
-            dtype=_np.int64,
+            dtype=np.int64,
         )
     )
     return layout, codes
@@ -995,7 +1044,8 @@ def explore_codes(
     ``collect_codes=True`` additionally returns the sorted reachable
     code set on the result.
     """
-    if _np is None:
+    np = numpy_module()
+    if np is None:
         raise KernelError("explore_codes requires numpy")
     if isinstance(start_states, str):
         _require(
@@ -1030,12 +1080,13 @@ def explore_code_shard(
     recover the exact census.  Per-shard ``levels``/``edges`` are local
     diagnostics only.
     """
-    if _np is None:
+    np = numpy_module()
+    if np is None:
         raise KernelError("explore_codes requires numpy")
     first = next(iter(state_space(program.variables)), None)
     _require(first is not None, f"{program.name!r} has an empty space")
     layout = _census_layout(program, first._schema)
-    codes = _np.unique(_np.asarray(start_codes, dtype=_np.int64))
+    codes = np.unique(np.asarray(start_codes, dtype=np.int64))
     if codes.size:
         _require(
             0 <= int(codes[0]) and int(codes[-1]) < layout.space,
@@ -1055,7 +1106,8 @@ def merge_code_reaches(reaches) -> CodeReach:
     shard partition.  ``levels`` (max) and ``edges`` (sum) are
     shard-local diagnostics, *not* the unsharded BFS figures.
     """
-    if _np is None:
+    np = numpy_module()
+    if np is None:
         raise KernelError("merge_code_reaches requires numpy")
     reaches = list(reaches)
     arrays = []
@@ -1066,8 +1118,8 @@ def merge_code_reaches(reaches) -> CodeReach:
         )
         arrays.append(reach.codes)
     if not arrays:
-        return CodeReach(0, 0, 0, _np.empty(0, dtype=_np.int64))
-    union = _np.unique(_np.concatenate(arrays))
+        return CodeReach(0, 0, 0, np.empty(0, dtype=np.int64))
+    union = np.unique(np.concatenate(arrays))
     return CodeReach(
         int(union.shape[0]),
         max(reach.levels for reach in reaches),

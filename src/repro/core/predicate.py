@@ -20,12 +20,8 @@ from __future__ import annotations
 
 from typing import Callable, FrozenSet, Iterable, Iterator, Sequence, Set
 
+from .kernels import numpy_module
 from .state import Schema, State, _state_of
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - environment-dependent
-    _np = None
 
 __all__ = ["Predicate", "EvaluatorMemo", "TRUE", "FALSE",
            "var_eq", "var_ne", "var_in"]
@@ -274,7 +270,7 @@ def _ne_columns(name: str, value: object):
 def _in_columns(name: str, allowed: Set[object]):
     def build(layout):
         i = layout.index[name]
-        lut = _np.zeros(layout.sizes[i], dtype=bool)
+        lut = numpy_module().zeros(layout.sizes[i], dtype=bool)
         for value, rank in layout.ranks[i].items():
             if value in allowed:
                 lut[rank] = True
@@ -315,5 +311,5 @@ def var_in(name: str, values: Iterable[object]) -> Predicate:
         values_builder=lambda index, n=name, a=allowed: (
             lambda values, i=index[n]: values[i] in a
         ),
-        columns_builder=None if _np is None else _in_columns(name, allowed),
+        columns_builder=_in_columns(name, allowed),
     )

@@ -53,13 +53,9 @@ from typing import (
     Tuple,
 )
 
+from .kernels import layout_for, numpy_available, numpy_module
 from .predicate import Predicate, TRUE
 from .state import State, Variable, state_space
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - environment-dependent
-    _np = None
 
 __all__ = [
     "Region",
@@ -142,9 +138,10 @@ def first_bit(bits: int) -> int:
 
 def _unpack_bits(bits: int, n: int):
     """Big-int bitset -> numpy boolean mask of length ``n``."""
-    return _np.unpackbits(
-        _np.frombuffer(
-            bits.to_bytes((n + 7) >> 3, "little"), dtype=_np.uint8
+    np = numpy_module()
+    return np.unpackbits(
+        np.frombuffer(
+            bits.to_bytes((n + 7) >> 3, "little"), dtype=np.uint8
         ),
         bitorder="little",
     )[:n].astype(bool)
@@ -153,14 +150,15 @@ def _unpack_bits(bits: int, n: int):
 def _pack_bits(mask) -> int:
     """numpy boolean mask -> big-int bitset."""
     return int.from_bytes(
-        _np.packbits(mask, bitorder="little").tobytes(), "little"
+        numpy_module().packbits(mask, bitorder="little").tobytes(), "little"
     )
 
 
 def _data_to_mask(data: bytes, n: int):
     """Little-endian bitset bytes -> numpy boolean mask of length ``n``."""
-    return _np.unpackbits(
-        _np.frombuffer(data, dtype=_np.uint8), bitorder="little"
+    np = numpy_module()
+    return np.unpackbits(
+        np.frombuffer(data, dtype=np.uint8), bitorder="little"
     )[:n].astype(bool)
 
 
@@ -300,7 +298,7 @@ class StateIndex:
         """The rank-column matrix of the indexed states (lazy), or
         ``None`` when no layout was supplied or numpy is absent."""
         layout = self._layout
-        if layout is None or _np is None:
+        if layout is None or numpy_module() is None:
             return None
         cols = self._cols
         if cols is None:
@@ -366,7 +364,8 @@ class StateIndex:
                 mask = predicate.columns_builder(self._layout)(self._columns())
                 states = self.states
                 self._satisfying[predicate] = tuple(
-                    states[i] for i in _np.flatnonzero(mask).tolist()
+                    states[i]
+                    for i in numpy_module().flatnonzero(mask).tolist()
                 )
                 cached = _pack_bits(mask)
             else:
@@ -740,7 +739,7 @@ class SystemIndex:
         exploration engine left on the system, or ``None`` (absent for
         interpreted/bucket explorations and store-reassembled graphs)."""
         state_cols = getattr(self.ts, "_state_cols", None)
-        if state_cols is None or _np is None:
+        if state_cols is None:
             return None
         if state_cols[1].shape[1] != self.n:  # pragma: no cover - defensive
             return None
@@ -878,23 +877,24 @@ class SystemIndex:
         if cached is None and include_faults not in self._csr:
             cached = None
             arrays = getattr(self.ts, "_edge_arrays", None)
-            if arrays is not None and _np is not None:
+            if arrays is not None:
+                np = numpy_module()
                 (p_src, p_dst, p_act), (f_src, f_dst, f_act), names_p, \
                     names_f = arrays
                 if include_faults and f_src.shape[0]:
-                    order = _np.argsort(
-                        _np.concatenate((p_src * 2, f_src * 2 + 1)),
+                    order = np.argsort(
+                        np.concatenate((p_src * 2, f_src * 2 + 1)),
                         kind="stable",
                     )
-                    src = _np.concatenate((p_src, f_src))[order]
-                    dst = _np.concatenate((p_dst, f_dst))[order]
-                    act = _np.concatenate(
+                    src = np.concatenate((p_src, f_src))[order]
+                    dst = np.concatenate((p_dst, f_dst))[order]
+                    act = np.concatenate(
                         (p_act, f_act + len(names_p))
                     )[order]
                 else:
                     src, dst, act = p_src, p_dst, p_act
-                indptr = _np.searchsorted(
-                    src, _np.arange(self.n + 1, dtype=_np.int64)
+                indptr = np.searchsorted(
+                    src, np.arange(self.n + 1, dtype=np.int64)
                 )
                 cached = (indptr, dst, act, names_p + names_f)
             self._csr[include_faults] = cached
@@ -911,12 +911,13 @@ class SystemIndex:
         csr = self._edge_csr(include_faults)
         if csr is not None:
             indptr, dst, act, names = csr
+            np = numpy_module()
             region = _unpack_bits(region_bits, self.n)
-            bad = _np.repeat(region, _np.diff(indptr)) & ~region[dst]
+            bad = np.repeat(region, np.diff(indptr)) & ~region[dst]
             if not bad.any():
                 return None
-            j = int(_np.argmax(bad))
-            u = int(_np.searchsorted(indptr, j, side="right")) - 1
+            j = int(np.argmax(bad))
+            u = int(np.searchsorted(indptr, j, side="right")) - 1
             return u, names[int(act[j])], int(dst[j])
         data = region_bits.to_bytes((self.n + 7) >> 3, "little")
         for u in iter_bits(region_bits, self.n):
@@ -937,18 +938,19 @@ class SystemIndex:
         n = self.n
         csr = self._edge_csr(include_faults)
         if csr is not None:
+            np = numpy_module()
             indptr_l = csr[0].tolist()
             dst = csr[1]
             within = _unpack_bits(within_bits, n)
             seen = _unpack_bits(start_bits, n) & within
-            frontier = _np.flatnonzero(seen)
+            frontier = np.flatnonzero(seen)
             while frontier.size:
                 parts = [
                     dst[indptr_l[u]:indptr_l[u + 1]]
                     for u in frontier.tolist()
                 ]
-                vs = _np.concatenate(parts)
-                fresh = _np.unique(vs[~seen[vs] & within[vs]])
+                vs = np.concatenate(parts)
+                fresh = np.unique(vs[~seen[vs] & within[vs]])
                 seen[fresh] = True
                 frontier = fresh
             return _pack_bits(seen)
@@ -1002,11 +1004,8 @@ def universe_index(program) -> Optional[StateIndex]:
             # everything already explored
             states = tuple(state_space(program.variables))
             layout = None
-            if states and _np is not None:
-                from . import kernels as _kernels
-                layout = _kernels.layout_for(
-                    states[0].schema, program._domains
-                )
+            if states and numpy_available():
+                layout = layout_for(states[0].schema, program._domains)
             index = StateIndex(states, _distinct=True, layout=layout)
         _UNIVERSE_CACHE[signature] = index
         if len(_UNIVERSE_CACHE) > _UNIVERSE_CACHE_MAXSIZE:

@@ -20,7 +20,10 @@ fault.
 """
 
 from .chandra_toueg import FailureDetectorModel, build
-from .simulated import HeartbeatProcess, MonitorProcess, run_crash_experiment
+
+#: names served lazily from :mod:`.simulated`, so model checking the
+#: detector does not load the simulator
+_SIMULATED = ("HeartbeatProcess", "MonitorProcess", "run_crash_experiment")
 
 __all__ = [
     "FailureDetectorModel",
@@ -29,3 +32,11 @@ __all__ = [
     "MonitorProcess",
     "run_crash_experiment",
 ]
+
+
+def __getattr__(name: str):
+    if name in _SIMULATED:
+        from . import simulated
+
+        return getattr(simulated, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

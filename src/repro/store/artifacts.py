@@ -158,8 +158,8 @@ def _blank_system(program, fault_actions, symmetric: bool):
 def _decode_system(payload: bytes, program, fault_actions, symmetric: bool):
     from ..core.state import Schema, _state_of
 
-    data = _backend.loads(payload)
-    if data.get("v") != 1:
+    data = _backend.try_loads(payload)
+    if not isinstance(data, dict) or data.get("v") != 1:
         return None
     schemas = [Schema.of(names) for names in data["schemas"]]
     states = [
@@ -218,9 +218,8 @@ def action_rows(store, program, states: Sequence, starts_digest: str, action,
     Returns ``None`` when the action escapes (and records nothing).
     """
     key = _action_rows_key(_vars_material(program), starts_digest, action)
-    payload = store.get(key)
-    if payload is not None:
-        data = _backend.loads(payload)
+    data = _backend.try_loads(store.get(key))
+    if data is not None:
         _backend.record_event("rows_hits")
         return data["rows"]
     id_of = {state: i for i, state in enumerate(states)}
@@ -278,9 +277,9 @@ def assemble_system(store, program, starts, fault_actions, symmetric: bool):
     stored: Dict[str, Optional[List[Tuple[int, ...]]]] = {}
     for action in all_actions:
         key = _action_rows_key(vars_material, starts_digest, action)
-        payload = store.get(key)
-        if payload is not None:
-            stored[action.name] = _backend.loads(payload)["rows"]
+        data = _backend.try_loads(store.get(key))
+        if data is not None:
+            stored[action.name] = data["rows"]
             _backend.record_event("rows_hits")
         else:
             stored[action.name] = None

@@ -35,7 +35,6 @@ import tempfile
 import threading
 import time
 import urllib.error
-import urllib.request
 from typing import Any, Callable, Dict, List, Optional, Union
 
 __all__ = [
@@ -55,6 +54,7 @@ __all__ = [
     "reset_stats",
     "dumps",
     "loads",
+    "try_loads",
 ]
 
 _PICKLE_PROTOCOL = 4
@@ -97,6 +97,21 @@ def dumps(obj: Any) -> bytes:
 
 def loads(payload: bytes) -> Any:
     return pickle.loads(payload)
+
+
+def try_loads(payload: Optional[bytes]) -> Any:
+    """Decode a stored payload, or return ``None`` for a miss (``None``
+    payload) and for a payload that does not decode (truncated, damaged,
+    or written by an incompatible build).  A failed decode counts as a
+    ``corrupt`` event; callers treat it as a miss, recompute, and
+    overwrite the entry."""
+    if payload is None:
+        return None
+    try:
+        return loads(payload)
+    except Exception:  # damaged pickles raise many unrelated types
+        record_event("corrupt")
+        return None
 
 
 class BaseStore:
@@ -303,6 +318,7 @@ class RemoteStore(BaseStore):
     def _get(self, key: str) -> Optional[bytes]:
         if self.dormant:
             return None
+        import urllib.request  # the HTTP client loads only for remote stores
 
         def attempt() -> bytes:
             with urllib.request.urlopen(
@@ -329,6 +345,8 @@ class RemoteStore(BaseStore):
     def _put(self, key: str, payload: bytes, kind: str) -> None:
         if self.dormant:
             return
+        import urllib.request
+
         request = urllib.request.Request(
             self._url(key), data=payload, method="PUT",
             headers={"Content-Type": "application/octet-stream",

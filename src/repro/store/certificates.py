@@ -98,12 +98,8 @@ def lookup_certificate(key: str):
     store = _backend.active_store()
     if store is None:
         return None
-    payload = store.get(key)
-    if payload is None:
-        return None
-    try:
-        result = _backend.loads(payload)
-    except Exception:
+    result = _backend.try_loads(store.get(key))
+    if result is None:
         return None
     _backend.record_event("verdict_hits")
     return result
@@ -166,10 +162,15 @@ def predicate_reads(program, predicate) -> Optional[frozenset]:
     if store is not None:
         payload = store.get(key)
         if payload is not None:
-            reads = _backend.loads(payload)
-            reads = None if reads is None else frozenset(reads)
-            _READS_MEMO[key] = reads
-            return reads
+            # a stored ``None`` is a recorded refusal, not a miss
+            try:
+                reads = _backend.loads(payload)
+            except Exception:
+                _backend.record_event("corrupt")
+            else:
+                reads = None if reads is None else frozenset(reads)
+                _READS_MEMO[key] = reads
+                return reads
     from ..analysis.frames import exact_predicate_reads
 
     try:
@@ -268,12 +269,8 @@ class ObligationFamily:
         verdict if the edit is frame-invisible.  ``None`` refuses."""
         if self.predicates is None or not self._fault_frames_declared():
             return None
-        payload = store.get(self.family_key())
-        if payload is None:
-            return None
-        try:
-            entries = _backend.loads(payload)
-        except Exception:
+        entries = _backend.try_loads(store.get(self.family_key()))
+        if entries is None:
             return None
         names = set(table)
         for entry in entries:
@@ -322,13 +319,7 @@ class ObligationFamily:
                     break
             if refused:
                 continue
-            verdict_payload = store.get(entry["verdict"])
-            if verdict_payload is None:
-                continue
-            try:
-                verdict = _backend.loads(verdict_payload)
-            except Exception:
-                continue
+            verdict = _backend.try_loads(store.get(entry["verdict"]))
             if not getattr(verdict, "ok", False):
                 continue
             _backend.record_event("obligations_reused")
@@ -337,13 +328,9 @@ class ObligationFamily:
 
     def record(self, store, table, verdict_key: str, ok: bool) -> None:
         key = self.family_key()
-        payload = store.get(key)
-        entries: List[dict] = []
-        if payload is not None:
-            try:
-                entries = list(_backend.loads(payload))
-            except Exception:
-                entries = []
+        entries: List[dict] = list(
+            _backend.try_loads(store.get(key)) or ()
+        )
         fps = {name: row[0] for name, row in table.items()}
         entries = [
             e for e in entries
@@ -373,15 +360,10 @@ def cached_obligation(
         ) if family.predicates is not None else None,
         family.extra,
     ))
-    payload = store.get(exact_key)
-    if payload is not None:
-        try:
-            result = _backend.loads(payload)
-        except Exception:
-            result = None
-        if result is not None:
-            _backend.record_event("obligation_hits")
-            return result
+    result = _backend.try_loads(store.get(exact_key))
+    if result is not None:
+        _backend.record_event("obligation_hits")
+        return result
     table = family.action_table()
     if table is not None:
         reused = family.try_reuse(store, table)

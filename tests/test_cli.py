@@ -1,9 +1,17 @@
 """Tests for the command-line verifier."""
 
 import io
+import json
+import os
+import shutil
+import sqlite3
+import subprocess
+import sys
+from contextlib import closing
 
 import pytest
 
+import repro
 from repro.cli import CATALOGUE, main
 
 
@@ -91,3 +99,154 @@ class TestCampaign:
             out=out,
         ) == 0
         assert "masking-tolerant in 2/2 trials" in out.getvalue()
+
+
+# -- start-up cost: what a fresh CLI process imports ---------------------------
+
+#: modules a CLI call loads only when its work needs them
+_HEAVY = ("numpy", "urllib.request", "repro.sim")
+
+#: runs ``repro.cli.main(argv)`` in a fresh interpreter and reports its
+#: exit code, its output and which heavy modules it left loaded
+_PROBE = """
+import contextlib, io, json, sys
+{prelude}
+from repro.cli import main
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    try:
+        rc = main({argv!r}, out=out)
+    except SystemExit as exc:
+        rc = exc.code
+print(json.dumps({{
+    "rc": rc,
+    "out": out.getvalue(),
+    "loaded": [m for m in {heavy!r} if sys.modules.get(m) is not None],
+}}))
+"""
+
+
+def _child(code: str) -> str:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True,
+        text=True, timeout=600,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def _probe(argv, prelude: str = "") -> dict:
+    return json.loads(_child(_PROBE.format(
+        argv=list(argv), heavy=_HEAVY, prelude=prelude,
+    )))
+
+
+def _copy_store(src: str, dst: str) -> str:
+    for suffix in ("", "-wal"):
+        if os.path.exists(src + suffix):
+            shutil.copyfile(src + suffix, dst + suffix)
+    return dst
+
+
+def _check_lines(text: str):
+    return [line for line in text.splitlines()
+            if not line.startswith("store:")]
+
+
+@pytest.fixture(scope="module")
+def cold_verify():
+    """``verify --all`` without a store, in a fresh process."""
+    result = _probe(["verify", "--all"])
+    assert result["rc"] == 0, result["out"]
+    return result
+
+
+@pytest.fixture(scope="module")
+def filled_store(tmp_path_factory):
+    """A store filled by ``verify --all`` and then ``lint --all``."""
+    path = str(tmp_path_factory.mktemp("store") / "certs.sqlite")
+    for argv in (["verify", "--all"], ["lint", "--all"]):
+        assert _probe([*argv, "--store", path])["rc"] == 0
+    return path
+
+
+class TestImportBudget:
+    """A call loads numpy, the HTTP client and the simulator only when
+    its work needs them: warm replays and linting need none of them."""
+
+    @pytest.mark.parametrize("argv", [["--help"], ["list"], ["lint", "--all"]])
+    def test_cold_calls_load_no_heavy_module(self, argv):
+        result = _probe(argv)
+        assert result["rc"] == 0
+        assert result["loaded"] == []
+
+    @pytest.mark.parametrize("command", ["verify", "lint"])
+    def test_warm_store_calls_load_no_heavy_module(
+        self, command, filled_store, tmp_path
+    ):
+        store = _copy_store(filled_store, str(tmp_path / "warm.sqlite"))
+        result = _probe([command, "--all", "--store", store])
+        assert result["rc"] == 0
+        assert " 0 misses" in result["out"]
+        assert result["loaded"] == []
+
+    def test_cold_verify_still_loads_numpy(self, cold_verify):
+        # the columnar engine keeps running whenever numpy is importable
+        assert cold_verify["loaded"] == ["numpy"]
+
+    def test_numpy_available_does_not_import_numpy(self):
+        out = _child(
+            "import sys\n"
+            "from repro.core import kernels\n"
+            "print(kernels.numpy_available(), kernels.resolved_backend(),"
+            " 'numpy' in sys.modules)\n"
+        )
+        assert out.split() == ["True", "numpy", "False"]
+
+
+class TestNumpyFallback:
+    """Without an importable numpy the pure kernels run, and print what
+    the numpy kernels print."""
+
+    def test_blocked_numpy(self, cold_verify):
+        result = _probe(["verify", "--all"],
+                        prelude='sys.modules["numpy"] = None')
+        assert result["rc"] == 0
+        assert result["loaded"] == []
+        assert result["out"] == cold_verify["out"]
+
+    def test_numpy_that_fails_to_import(self, cold_verify, tmp_path):
+        broken = tmp_path / "numpy"
+        broken.mkdir()
+        (broken / "__init__.py").write_text(
+            "raise ImportError('numpy is broken')\n"
+        )
+        result = _probe(["verify", "--all"],
+                        prelude=f"sys.path.insert(0, {str(tmp_path)!r})")
+        assert result["rc"] == 0
+        assert result["loaded"] == []
+        assert result["out"] == cold_verify["out"]
+
+
+class TestDamagedStore:
+    def test_truncated_payloads_are_recomputed(
+        self, cold_verify, filled_store, tmp_path
+    ):
+        store = _copy_store(filled_store, str(tmp_path / "damaged.sqlite"))
+        with closing(sqlite3.connect(store)) as db:
+            db.execute(
+                "UPDATE artifacts SET payload = "
+                "substr(payload, 1, length(payload) / 2)"
+            )
+            db.commit()
+        damaged = _probe(["verify", "--all", "--store", store])
+        assert damaged["rc"] == 0
+        assert _check_lines(damaged["out"]) == _check_lines(cold_verify["out"])
+        assert "undecodable entries recomputed" in damaged["out"]
+        # recomputed entries overwrote the damaged ones
+        healed = _probe(["verify", "--all", "--store", store])
+        assert healed["rc"] == 0
+        assert " 0 misses, 0 puts" in healed["out"]
+        assert "undecodable" not in healed["out"]

@@ -48,6 +48,7 @@ byte-identical to the in-process paths (see
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Callable, Dict, Iterable, List, Tuple
 
@@ -584,8 +585,6 @@ def _bench(args, out=sys.stdout) -> int:
         forwarded.append("--quick")
     if args.repeat is not None:
         forwarded += ["--repeat", str(args.repeat)]
-    if args.workers is not None:
-        forwarded += ["--workers", str(args.workers)]
     if args.backend is not None:
         forwarded += ["--backend", args.backend]
     if args.cold:
@@ -599,7 +598,6 @@ def _bench(args, out=sys.stdout) -> int:
     elif not args.full:
         # quick numbers are measured at a smaller scale — don't clobber
         # the committed full-scale BENCH_core.json with them
-        import os
         import tempfile
 
         fd, path = tempfile.mkstemp(prefix="repro_bench_quick_", suffix=".json")
@@ -674,6 +672,22 @@ def _lint(args, out=sys.stdout) -> int:
 
 
 def main(argv: List[str] = None, out=sys.stdout) -> int:
+    try:
+        rc = _main(argv, out=out)
+        # flush inside the handler: output to a reader that has already
+        # gone (``repro list | head -1``) otherwise fails in the
+        # interpreter's final flush, with a traceback
+        out.flush()
+        return rc
+    except BrokenPipeError:
+        # the Python docs' SIGPIPE recipe: point stdout at devnull so
+        # the final flush has somewhere to go, and exit non-zero
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+
+
+def _main(argv: List[str], out) -> int:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="verify the paper's constructions from the command line",
@@ -788,10 +802,6 @@ def main(argv: List[str] = None, out=sys.stdout) -> int:
     bench_parser.add_argument(
         "--output", default=None,
         help="where to write the JSON record (harness default)",
-    )
-    bench_parser.add_argument(
-        "--workers", type=int, default=None,
-        help="process count for sharded exploration (default: in-process)",
     )
     bench_parser.add_argument(
         "--backend", choices=("auto", "numpy", "pure", "interpreted"),

@@ -32,7 +32,6 @@ from .exploration import (
     clear_all_caches,
     clear_system_cache,
     explored_system,
-    set_default_workers,
 )
 from .fairness import (
     check_converges_to,
@@ -121,7 +120,6 @@ __all__ = [
     "refines_spec", "refines_program", "violates_spec",
     "start_states_of", "system_from",
     "explored_system", "clear_system_cache", "clear_all_caches",
-    "set_default_workers",
     # batch kernels
     "Plan", "KernelError", "CodeReach", "explore_codes",
     "explore_code_shard", "census_start_codes", "merge_code_reaches",

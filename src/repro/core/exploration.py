@@ -17,7 +17,19 @@ Fault edges are tracked separately because the paper's Assumption 2
 (finitely many fault occurrences) means safety is judged over *all* edges
 while liveness is judged over program edges only.
 
-Performance notes (see ``docs/performance.md``):
+Three engines build the graph, and which one ran is unobservable from
+the finished system (see ``docs/performance.md``, "Engine selection"):
+
+- the **columnar** engine expands, dedups and id-assigns whole frontier
+  levels as numpy arrays, when every action compiles to a kernel;
+- the **level** engine expands frontier levels through compiled kernels
+  where actions have them and through ``Action.successors`` elsewhere —
+  with no kernels at all on spaces of at most
+  :data:`_SMALL_SPACE_STATES` states or mixed-schema start sets;
+- the **scalar** engine, an interpreted FIFO, runs only under
+  ``set_backend("interpreted")``, where it is the parity oracle.
+
+Performance notes:
 
 - every explored state is canonicalized through a
   :class:`~repro.core.state.StateInterner`, so the states held by a
@@ -58,7 +70,7 @@ from .predicate import Predicate
 from .program import Program
 from .regions import first_bit, iter_bits, system_index
 from .results import CheckResult, Counterexample
-from .state import Schema, State, StateInterner, _state_of
+from .state import State, StateInterner, _state_of
 from .symmetry import SymmetryError
 
 __all__ = [
@@ -67,7 +79,6 @@ __all__ = [
     "explored_system",
     "clear_system_cache",
     "clear_all_caches",
-    "set_default_workers",
 ]
 
 #: A labelled edge: (source, action name, target).
@@ -80,28 +91,13 @@ DEFAULT_MAX_STATES = 2_000_000
 #: code -> id table for (int32 entries: 64 MiB at the limit).
 _DENSE_ID_SPACE_LIMIT = 1 << 24
 
-#: Largest declared state space (Cartesian product of domains) the
-#: tiny-space interpreted fast path handles; above this the batch
-#: engines' per-level vectorization wins over their setup cost.
+#: Largest declared state space (Cartesian product of domains) explored
+#: without compiled kernels; up to this size one compilation attempt per
+#: action (and, on numpy, a column layout) costs more than the whole
+#: interpreted expansion.
 _SMALL_SPACE_STATES = 128
 
 _EMPTY_EDGES: Tuple[Tuple[str, State], ...] = ()
-
-#: module-wide default worker count for sharded exploration (``None``
-#: or 1 = in-process); see :func:`set_default_workers`
-_DEFAULT_WORKERS: Optional[int] = None
-
-
-def set_default_workers(workers: Optional[int]) -> None:
-    """Set the process count newly built :class:`TransitionSystem`\\ s
-    use when their ``workers`` argument is left at ``None``.  Sharded
-    exploration is bit-identical to in-process exploration for any
-    worker count (pinned by tests), so this is purely a throughput knob.
-    """
-    global _DEFAULT_WORKERS
-    if workers is not None and workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    _DEFAULT_WORKERS = workers
 
 
 class TransitionSystem:
@@ -143,7 +139,6 @@ class TransitionSystem:
         fault_actions: Sequence[Action] = (),
         max_states: int = DEFAULT_MAX_STATES,
         symmetric: bool = False,
-        workers: Optional[int] = None,
     ):
         self.program = program
         self.symmetry = None
@@ -175,8 +170,8 @@ class TransitionSystem:
         #: (program rows, fault rows, state -> dense id) with rows[i] the
         #: ``(action name, target id)`` tuple of the state with id ``i``.
         #: ``SystemIndex`` adopts these instead of re-deriving ids from
-        #: the State-level edge tables; ``None`` when the scalar engine
-        #: ran (it has no level structure to hook)
+        #: the State-level edge tables; ``None`` only when the scalar
+        #: oracle ran (it has no level structure to hook)
         self._labeled_rows: Optional[Tuple[List, List, Dict[State, int]]] = None
         #: columnar edge arrays, set only by the all-array engine:
         #: ((src ids, dst ids, action positions) for program and fault
@@ -194,9 +189,7 @@ class TransitionSystem:
         #: order, retained by the columnar engine for vectorized
         #: predicate sweeps (:meth:`~repro.core.regions.StateIndex`)
         self._state_cols = None
-        if workers is None:
-            workers = _DEFAULT_WORKERS
-        self._explore(max_states, workers)
+        self._explore(max_states)
 
     # -- construction ------------------------------------------------------
     @property
@@ -204,36 +197,27 @@ class TransitionSystem:
         """All explored states, in deterministic BFS discovery order."""
         return self._program_edges.keys()
 
-    def _explore(self, max_states: int, workers: Optional[int] = None) -> None:
+    def _explore(self, max_states: int) -> None:
         if self.symmetry is not None:
             # orbit canonicalization: each state maps to the pooled
             # minimal representative of its symmetry orbit, so the BFS
             # materializes the quotient graph directly
-            canonicalizer = self.symmetry.canonicalizer(self.program)
-            canonical = canonicalizer.canonical
-            canonical_many = canonicalizer.canonical_many
+            canonical = self.symmetry.canonicalizer(self.program).canonical
         else:
             # canonicalization is one C-level dict op: setdefault(s, s)
             # returns the pooled representative (inserting s if unseen),
             # exactly StateInterner.canonical without the method frames
-            interner = StateInterner()
-            canonical = interner._pool.setdefault
-            canonical_many = interner.canonical_many
+            canonical = StateInterner()._pool.setdefault
         self.start_states = tuple(
-            dict.fromkeys(canonical_many(self.start_states))
+            dict.fromkeys(canonical(s, s) for s in self.start_states)
         )
         for state in self.start_states:
             self._program_edges[state] = _EMPTY_EDGES
-        # Three engines, one transition graph: sharded (process pool),
-        # batched (compiled kernels over whole frontier levels), and
-        # scalar (the original interpreted FIFO).  All three register
-        # states and edges in the exact same order, so which engine ran
-        # is unobservable from the finished system (pinned by tests).
-        # The level-synchronous engines additionally accumulate the
-        # dense-id adjacency rows as they assemble each level.
-        self._labeled_rows = (
-            [], [], {s: i for i, s in enumerate(self._program_edges)}
-        )
+        # Three engines (see the module docstring) register states and
+        # edges in the exact same order, so which one ran is unobservable
+        # from the finished system (pinned by tests); all but the scalar
+        # oracle also accumulate the dense-id adjacency rows.
+        #
         # Pause generational GC for the build: edge tuples hold State
         # references, so unlike (str, int) pairs they stay gc-tracked,
         # and letting collections rescan the growing graph costs more
@@ -245,28 +229,28 @@ class TransitionSystem:
         if gc_was_enabled:
             gc.disable()
         try:
-            if workers is not None and workers > 1:
-                if self._explore_sharded(
-                    max_states, canonical_many, workers
-                ):
-                    return
-            if self.program.state_count() <= _SMALL_SPACE_STATES:
-                self._explore_small(max_states, canonical)
+            if _kernels.get_backend() == "interpreted":
+                self._explore_scalar(max_states, canonical)
                 return
-            if _kernels.get_backend() != "interpreted":
-                if self._explore_columnar(max_states):
-                    return
-                if self._explore_batched(max_states, canonical):
-                    return
-            self._labeled_rows = None
-            self._explore_scalar(max_states, canonical)
+            self._labeled_rows = (
+                [], [], {s: i for i, s in enumerate(self._program_edges)}
+            )
+            # kernels are compiled for one schema, and pay for their
+            # compilation only above the small-space bound
+            compile_kernels = (
+                self.program.state_count() > _SMALL_SPACE_STATES
+                and len({s._schema for s in self.start_states}) == 1
+            )
+            if not (compile_kernels and self._explore_columnar(max_states)):
+                self._explore_levels(max_states, canonical, compile_kernels)
         finally:
             if gc_was_enabled:
                 gc.enable()
 
     def _explore_scalar(self, max_states: int, canonical) -> None:
-        """The reference engine: interpreted FIFO BFS, one
-        ``Action.successors`` call per (state, action) pair."""
+        """The parity oracle: interpreted FIFO BFS, one
+        ``Action.successors`` call per (state, action) pair.  Runs only
+        under ``set_backend("interpreted")``."""
         frontier = deque(self.start_states)
         program_actions = self.program.actions
         fault_actions = self.fault_actions
@@ -306,46 +290,14 @@ class TransitionSystem:
                                 f"for {self.program.name!r}"
                             )
 
-    def _explore_small(self, max_states: int, canonical) -> None:
-        """Tiny-space fast path: interpreted, level-synchronous BFS.
-
-        For state spaces of at most :data:`_SMALL_SPACE_STATES` codes
-        the batch engines' setup — layout construction and one
-        compilation attempt per action — costs more than the whole
-        interpreted expansion, so this path expands each level through
-        plain ``Action.successors`` calls and folds it with
-        :meth:`_assemble_level`.  Unlike the scalar engine it keeps the
-        dense-id row accumulator populated, so downstream region
-        indexing skips the State-level reassembly too."""
-        frontier: List[State] = list(self.start_states)
-        program_actions = self.program.actions
-        fault_actions = self.fault_actions
-        while frontier:
-            n = len(frontier)
-            program_buckets: List[List] = [[] for _ in range(n)]
-            fault_buckets: List[List] = [[] for _ in range(n)]
-            for actions, buckets in (
-                (program_actions, program_buckets),
-                (fault_actions, fault_buckets),
-            ):
-                for action in actions:
-                    name = action.name
-                    for i, state in enumerate(frontier):
-                        bucket = buckets[i]
-                        for nxt in action.successors(state):
-                            bucket.append((name, canonical(nxt, nxt)))
-            frontier = self._assemble_level(
-                frontier, program_buckets, fault_buckets, max_states
-            )
-
     def _assemble_level(
         self,
         frontier: List[State],
         program_buckets: List[List[Tuple[str, State]]],
         fault_buckets: List[List[Tuple[str, State]]],
         max_states: int,
-        program_dirty: Optional[bytearray] = None,
-        fault_dirty: Optional[bytearray] = None,
+        program_dirty: bytearray,
+        fault_dirty: bytearray,
     ) -> List[State]:
         """Fold one expanded frontier level into the edge tables.
 
@@ -358,11 +310,10 @@ class TransitionSystem:
         Duplicate edges can only come from one action offering the same
         successor twice (action names are unique, so edges from distinct
         actions never collide) — planned actions are deterministic and
-        cannot do that.  The optional dirty flags mark the buckets where
-        some interpreted action yielded more than one successor; when
-        given, dedup runs only there (``dict.fromkeys`` on a
-        duplicate-free list is the identity, so skipping it is
-        unobservable).
+        cannot do that.  The dirty flags mark the buckets where some
+        interpreted action yielded more than one successor, and dedup
+        runs only there (``dict.fromkeys`` on a duplicate-free list is
+        the identity, so skipping it is unobservable).
 
         Because frontier levels are expanded in registration order, the
         expansion order over the whole run *is* the dense-id order —
@@ -377,15 +328,9 @@ class TransitionSystem:
         for i, state in enumerate(frontier):
             program_edges = program_buckets[i]
             fault_edges = fault_buckets[i]
-            if (
-                len(program_edges) > 1
-                and (program_dirty is None or program_dirty[i])
-            ):
+            if program_dirty[i]:
                 program_edges = list(dict.fromkeys(program_edges))
-            if (
-                len(fault_edges) > 1
-                and (fault_dirty is None or fault_dirty[i])
-            ):
+            if fault_dirty[i]:
                 fault_edges = list(dict.fromkeys(fault_edges))
             program_edges_of[state] = tuple(program_edges)
             if fault_edges:
@@ -415,25 +360,21 @@ class TransitionSystem:
 
         Engages only when the whole system is kernel-expressible with a
         dense code space: numpy backend, no symmetry quotient (orbit
-        canonicalization is per-state by nature), one start schema,
-        every program *and* fault action compiled, and a state space
+        canonicalization is per-state by nature), one start schema
+        (checked by the caller), every program *and* fault action
+        compiled, and a state space
         small enough for a code-indexed id table.  Successor codes map
         to dense ids through that table, so interning, dedup, and
         discovery-order id assignment are all vectorized; the scalar
         engine's FIFO order is reproduced by a stable sort on
         (source, program-before-fault, action position).  Returns
-        ``False`` to hand off to the per-bucket engines otherwise."""
+        ``False`` to hand off to the level engine otherwise."""
         starts = self.start_states
-        if not starts:
-            return True
         if self.symmetry is not None:
             return False
         if _kernels.resolved_backend() != "numpy":
             return False
         schema = starts[0]._schema
-        for state in starts:
-            if state._schema is not schema:
-                return False
         layout = _kernels.layout_for(schema, self.program._domains)
         if layout is None or layout.space > _DENSE_ID_SPACE_LIMIT:
             return False
@@ -451,7 +392,7 @@ class TransitionSystem:
             cols = layout.columns_from_states(starts)
         except KeyError:
             # a start value escaped its declared domain; codes cannot
-            # represent it, so the bucket engines take over
+            # represent it, so the level engine takes over
             return False
         np = _kernels.numpy_module()
 
@@ -564,78 +505,78 @@ class TransitionSystem:
             col_acc.append(new_cols)
             cols = new_cols
 
-    def _explore_batched(self, max_states: int, canonical) -> bool:
-        """Level-synchronous BFS through compiled batch kernels.
+    def _explore_levels(
+        self, max_states: int, canonical, compile_kernels: bool
+    ) -> None:
+        """Level-synchronous BFS, each level folded by
+        :meth:`_assemble_level`.
 
-        Planned actions expand a whole frontier level per kernel call
-        (vectorized over rank columns on the numpy backend, compiled
-        row closures on the pure backend); unplanned actions fall back
-        to interpreted ``successors`` per state.  Returns ``False``
-        when no action compiles, handing the exploration back to the
-        scalar engine."""
+        With ``compile_kernels`` (a state space above
+        :data:`_SMALL_SPACE_STATES` and one schema shared by every
+        start state), planned actions expand a whole frontier level per
+        kernel call (vectorized over rank columns on the numpy backend,
+        compiled row closures on the pure backend).  Every other action
+        — unplanned, or every action when nothing is compiled — runs
+        through interpreted ``successors`` per state, as does every
+        action on a level whose states do not all share that schema."""
         starts = self.start_states
-        if not starts:
-            return True
-        schema = starts[0]._schema
-        for state in starts:
-            if state._schema is not schema:
-                return False
-        domains = self.program._domains
-        backend = _kernels.resolved_backend()
-        layout = None
-        if backend == "numpy" and _kernels.numpy_module() is not None:
-            layout = _kernels.layout_for(schema, domains)
-        use_numpy = layout is not None
         program_actions = self.program.actions
         fault_actions = self.fault_actions
-        compiled = 0
-        action_kernels: Dict[int, object] = {}
-        for group, actions in enumerate((program_actions, fault_actions)):
-            for pos, action in enumerate(actions):
-                if use_numpy:
-                    kernel = _kernels.batch_kernel(action, layout)
-                else:
-                    kernel = _kernels.row_kernel(action, schema, domains)
-                action_kernels[(group, pos)] = kernel
-                if kernel is not None:
-                    compiled += 1
-        if not compiled:
-            return False
+        schema = starts[0]._schema if starts else None
+        domains = self.program._domains
+        layout = None
+        if (
+            compile_kernels
+            and _kernels.resolved_backend() == "numpy"
+            and _kernels.numpy_module() is not None
+        ):
+            layout = _kernels.layout_for(schema, domains)
 
-        # raw successor (code or values-tuple) -> canonical state; the
-        # authoritative canonicalizer still sees every genuinely new
-        # state, so this memo composes with symmetry quotients and with
-        # the scalar fallback interning identically
-        by_code: Dict[int, State] = {}
-        by_values: Dict[Tuple, State] = {}
+        def kernel_for(action):
+            if not compile_kernels:
+                return None
+            if layout is not None:
+                return _kernels.batch_kernel(action, layout)
+            return _kernels.row_kernel(action, schema, domains)
+
+        groups = [
+            [(kernel_for(a), a) for a in actions]
+            for actions in (program_actions, fault_actions)
+        ]
+        compiled = any(k is not None for group in groups for k, _ in group)
+
+        # raw successor (a code on numpy, a values-tuple on pure) ->
+        # canonical state; the authoritative canonicalizer still sees
+        # every genuinely new state, so this memo composes with
+        # symmetry quotients
+        rep_of: Dict[object, State] = {}
         frontier: List[State] = list(starts)
-        batch_ok = True
         while frontier:
             n = len(frontier)
             program_buckets: List[List] = [[] for _ in range(n)]
             fault_buckets: List[List] = [[] for _ in range(n)]
             program_dirty = bytearray(n)
             fault_dirty = bytearray(n)
+            # kernels run only on a level of ``schema`` states; on numpy
+            # they read its rank columns
+            batch = compiled and all(
+                state._schema is schema for state in frontier
+            )
             cols = None
-            if use_numpy and batch_ok:
-                if all(state._schema is schema for state in frontier):
-                    try:
-                        cols = layout.columns_from_states(frontier)
-                    except KeyError:
-                        # a value escaped its declared domain (start
-                        # states are caller-supplied); ranks cannot
-                        # represent it, so finish interpreted
-                        batch_ok = False
-                else:
-                    batch_ok = False
-            for group, (actions, buckets, dirty) in enumerate((
-                (program_actions, program_buckets, program_dirty),
-                (fault_actions, fault_buckets, fault_dirty),
-            )):
-                for pos, action in enumerate(actions):
-                    kernel = action_kernels[(group, pos)]
+            if batch and layout is not None:
+                try:
+                    cols = layout.columns_from_states(frontier)
+                except KeyError:
+                    # a value escaped its declared domain (start states
+                    # are caller-supplied); ranks cannot represent it
+                    batch = False
+            for group, buckets, dirty in (
+                (groups[0], program_buckets, program_dirty),
+                (groups[1], fault_buckets, fault_dirty),
+            ):
+                for kernel, action in group:
                     name = action.name
-                    if kernel is None or (use_numpy and cols is None):
+                    if kernel is None or not batch:
                         for i, state in enumerate(frontier):
                             successors = action.successors(state)
                             if not successors:
@@ -645,12 +586,12 @@ class TransitionSystem:
                             bucket = buckets[i]
                             for nxt in successors:
                                 bucket.append((name, canonical(nxt, nxt)))
-                    elif use_numpy:
+                    elif cols is not None:
                         idx, out = kernel(cols)
                         if out is None:
                             continue
                         codes = layout.pack_columns(out).tolist()
-                        get = by_code.get
+                        get = rep_of.get
                         # resolve first (list comp + C-level membership
                         # scan), materialize the rare misses second —
                         # after the opening levels nearly every code is
@@ -670,21 +611,13 @@ class TransitionSystem:
                                             schema, values_of(out, j)
                                         )
                                         rep = canonical(raw, raw)
-                                        by_code[code] = rep
+                                        rep_of[code] = rep
                                     reps[j] = rep
                         for i, rep in zip(idx.tolist(), reps):
                             buckets[i].append((name, rep))
                     else:
-                        get = by_values.get
+                        get = rep_of.get
                         for i, state in enumerate(frontier):
-                            if state._schema is not schema:
-                                successors = action.successors(state)
-                                if len(successors) > 1:
-                                    dirty[i] = 1
-                                bucket = buckets[i]
-                                for nxt in successors:
-                                    bucket.append((name, canonical(nxt, nxt)))
-                                continue
                             row = kernel(state._values)
                             if row is None:
                                 continue
@@ -692,75 +625,12 @@ class TransitionSystem:
                             if nxt is None:
                                 raw = _state_of(schema, row)
                                 nxt = canonical(raw, raw)
-                                by_values[row] = nxt
+                                rep_of[row] = nxt
                             buckets[i].append((name, nxt))
             frontier = self._assemble_level(
                 frontier, program_buckets, fault_buckets, max_states,
                 program_dirty, fault_dirty,
             )
-        return True
-
-    def _explore_sharded(
-        self, max_states: int, canonical_many, workers: int
-    ) -> bool:
-        """Level-synchronous BFS over a fork process pool.
-
-        Each frontier level is partitioned across workers by a
-        deterministic hash of the canonical state's values (crc32, not
-        Python's per-process-salted ``hash``); workers return raw
-        successor rows tagged with their frontier position, and the
-        master bulk-interns each returned row list (one
-        ``canonical_many`` pass instead of a call per successor) and
-        assembles them in frontier order — so the finished graph is
-        bit-identical for any worker count.  Returns ``False`` on
-        platforms without ``fork`` (the pool inherits the program's
-        action closures by address space; guarded-command statements
-        are lambdas, which do not pickle)."""
-        global _SHARD_ACTIONS
-        if not self.start_states:
-            return True
-        import multiprocessing
-
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:
-            return False
-        _SHARD_ACTIONS = (self.program.actions, self.fault_actions)
-        pool = context.Pool(processes=workers)
-        try:
-            frontier: List[State] = list(self.start_states)
-            while frontier:
-                shards: List[List] = [[] for _ in range(workers)]
-                for i, state in enumerate(frontier):
-                    shard = _shard_of(state._values, workers)
-                    shards[shard].append(
-                        (i, state._schema.names, state._values)
-                    )
-                n = len(frontier)
-                program_buckets: List[List] = [None] * n
-                fault_buckets: List[List] = [None] * n
-                for part in pool.map(_expand_shard, shards):
-                    for i, program_rows, fault_rows in part:
-                        for rows, buckets in (
-                            (program_rows, program_buckets),
-                            (fault_rows, fault_buckets),
-                        ):
-                            reps = canonical_many([
-                                _state_of(Schema.of(names), values)
-                                for _, names, values in rows
-                            ])
-                            buckets[i] = [
-                                (row[0], rep)
-                                for row, rep in zip(rows, reps)
-                            ]
-                frontier = self._assemble_level(
-                    frontier, program_buckets, fault_buckets, max_states
-                )
-        finally:
-            _SHARD_ACTIONS = None
-            pool.terminate()
-            pool.join()
-        return True
 
     # -- views ---------------------------------------------------------------
     def _materialize_edges(self) -> None:
@@ -971,49 +841,6 @@ class TransitionSystem:
         )
 
 
-# -- sharded-exploration worker side ------------------------------------------
-
-#: (program actions, fault actions) of the exploration currently running
-#: sharded; set by the master immediately before the fork pool is
-#: created, so workers inherit the action objects (closures and all)
-#: through the copied address space instead of pickling
-_SHARD_ACTIONS: Optional[Tuple[Tuple[Action, ...], Tuple[Action, ...]]] = None
-
-
-def _shard_of(values: Tuple, workers: int) -> int:
-    """Deterministic shard assignment of a canonical state.  ``repr`` of
-    a values-tuple is stable across processes and runs, unlike
-    ``hash(str)`` which is per-process salted."""
-    import zlib
-
-    return zlib.crc32(repr(values).encode("utf-8")) % workers
-
-
-def _expand_shard(rows):
-    """Worker body: expand frontier rows through every action.
-
-    Rows arrive and return as plain values-tuples tagged with frontier
-    position — successor *states* never cross the process boundary, so
-    the master remains the only authority on interning and
-    canonicalization."""
-    program_actions, fault_actions = _SHARD_ACTIONS
-    out = []
-    for i, names, values in rows:
-        state = _state_of(Schema.of(names), values)
-        program_rows = [
-            (action.name, nxt._schema.names, nxt._values)
-            for action in program_actions
-            for nxt in action.successors(state)
-        ]
-        fault_rows = [
-            (action.name, nxt._schema.names, nxt._values)
-            for action in fault_actions
-            for nxt in action.successors(state)
-        ]
-        out.append((i, program_rows, fault_rows))
-    return out
-
-
 def _reconstruct(
     parents: Dict[State, Optional[Tuple[State, str]]], goal: State
 ) -> Tuple[List[State], List[str]]:
@@ -1046,7 +873,6 @@ def explored_system(
     fault_actions: Sequence[Action] = (),
     max_states: int = DEFAULT_MAX_STATES,
     symmetric: bool = False,
-    workers: Optional[int] = None,
 ) -> TransitionSystem:
     """A memoized :class:`TransitionSystem`.
 
@@ -1061,13 +887,10 @@ def explored_system(
     ``symmetric=True`` explores the quotient graph under the program's
     declared symmetry (see :class:`TransitionSystem`); the declared
     group joins the cache key, so quotient and unreduced systems of the
-    same ``p [] F`` are cached independently.  ``workers`` is *not* part
-    of the cache key: sharded and in-process exploration produce
-    bit-identical systems, so a cached system satisfies any worker
-    count.  The resolved engine *is* part of the key — the interpreted
-    backend serves as the oracle in parity tests, so a columnar-built
-    system must never satisfy an interpreted-mode caller (and vice
-    versa).
+    same ``p [] F`` are cached independently.  The resolved engine is
+    part of the key — the interpreted backend serves as the oracle in
+    parity tests, so a columnar-built system must never satisfy an
+    interpreted-mode caller (and vice versa).
 
     When a certificate store is active (:mod:`repro.store`), a cache
     miss first tries to load the graph — or reassemble it from
@@ -1098,7 +921,7 @@ def explored_system(
     if system is None:
         system = TransitionSystem(
             program, starts, fault_actions=faults, max_states=max_states,
-            symmetric=symmetric, workers=workers,
+            symmetric=symmetric,
         )
         if use_store:
             _store_save(system, starts, max_states, symmetric)

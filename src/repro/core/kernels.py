@@ -17,14 +17,19 @@ kernels* that evaluate one action over an entire BFS frontier at once:
   engine and :class:`~repro.core.predicate.Predicate` already speak) —
   no arrays, no numpy, same semantics;
 - actions without a plan (or whose plan does not fit a schema) simply
-  fall back to the interpreted ``successors`` path inside the batched
-  BFS, so kernels are an accelerator, never a constraint.
+  fall back to the interpreted ``successors`` path inside the level
+  engine's BFS, so kernels are an accelerator, never a constraint.
+
+The columnar and level engines of
+:class:`~repro.core.exploration.TransitionSystem` run these kernels; its
+scalar engine, the parity oracle, runs only under ``interpreted``.
 
 A plan is a *claim*, like an action's ``reads``/``writes`` frame: the
 kernel must implement exactly the guard and statement of the action it
 annotates.  ``tests/test_kernels.py`` pins kernel/interpreted parity
 (state sets, edges, deadlocks) across every bundled program and fault
-builder, under symmetry quotients, for both backends.
+builder, under symmetry quotients, for both backends, and on the
+inputs for which nothing is compiled.
 
 For state spaces too large to materialize as ``State`` objects at all
 (the ROADMAP's million-state explorations), :func:`explore_codes` runs
@@ -200,7 +205,7 @@ def numpy_available() -> bool:
 def set_backend(backend: str) -> None:
     """Select the kernel backend: ``auto`` (numpy when importable, else
     pure), ``numpy``, ``pure``, or ``interpreted`` (disable kernels —
-    the pre-kernel scalar BFS, used by the parity tests as the oracle).
+    the scalar BFS, used by the parity tests as the oracle).
     """
     global _backend
     if backend not in _BACKENDS:
@@ -217,7 +222,7 @@ def get_backend() -> str:
 
 
 def resolved_backend() -> str:
-    """The backend batched exploration will actually run."""
+    """The backend compiled exploration will actually run."""
     if _backend == "auto":
         return "numpy" if numpy_available() else "pure"
     return _backend

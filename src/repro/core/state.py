@@ -45,7 +45,6 @@ from typing import (
     Hashable,
     Iterable,
     Iterator,
-    List,
     Mapping,
     Sequence,
     Tuple,
@@ -428,25 +427,6 @@ class StateInterner:
             self._pool[state] = state
             return state
         return found
-
-    def canonical_many(self, states: Iterable[State]) -> List[State]:
-        """Bulk :meth:`canonical`: representatives in input order.
-
-        The pool probe is hoisted out of the per-state call, so the
-        level-synchronous exploration engines can intern a whole
-        frontier expansion in one pass instead of paying a method frame
-        per successor.
-        """
-        pool = self._pool
-        get = pool.get
-        out: List[State] = []
-        append = out.append
-        for state in states:
-            found = get(state)
-            if found is None:
-                pool[state] = found = state
-            append(found)
-        return out
 
     def __len__(self) -> int:
         return len(self._pool)

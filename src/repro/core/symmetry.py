@@ -53,7 +53,6 @@ from typing import (
     Dict,
     Hashable,
     Iterable,
-    List,
     Optional,
     Sequence,
     Tuple,
@@ -729,49 +728,6 @@ class Canonicalizer:
             memo[representative] = pooled = representative
         memo[state] = pooled
         return pooled
-
-    def canonical_many(self, states: Iterable[State]) -> List[State]:
-        """Bulk :meth:`canonical`: orbit representatives in input order.
-
-        The memo probe and the compiled-plan fetch are hoisted out of
-        the per-state call; consecutive states sharing a schema — the
-        common case, since exploration frontiers are schema-uniform —
-        reuse one plan without re-probing the plan table.  Results and
-        memo contents are identical to calling :meth:`canonical` state
-        by state.
-        """
-        memo = self._memo
-        get = memo.get
-        plans = self._plans
-        plan_schema = None
-        plan = None
-        out: List[State] = []
-        append = out.append
-        for state in states:
-            found = get(state)
-            if found is not None:
-                append(found)
-                continue
-            schema = state.schema
-            if schema is not plan_schema:
-                plan = plans.get(schema)
-                if plan is None:
-                    plan = self.symmetry._compile(schema, self._domains)
-                    plans[schema] = plan
-                plan_schema = schema
-            values = state.values_tuple
-            canonical_values = plan(values)
-            if canonical_values is values:
-                memo[state] = state
-                append(state)
-                continue
-            representative = _state_of(schema, canonical_values)
-            pooled = get(representative)
-            if pooled is None:
-                memo[representative] = pooled = representative
-            memo[state] = pooled
-            append(pooled)
-        return out
 
     def __len__(self) -> int:
         return len(self._memo)

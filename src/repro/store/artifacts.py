@@ -4,7 +4,7 @@ Two artifact shapes cover the exploration layer:
 
 - a **whole-graph artifact** (``kind="system"``): the BFS-ordered state
   table plus the per-state ``(action, target id)`` adjacency rows — the
-  exact ``_labeled_rows`` form every engine produces and
+  exact ``_labeled_rows`` form the columnar and level engines produce and
   :class:`~repro.core.regions.SystemIndex` adopts.  Loading one rebuilds
   a :class:`~repro.core.exploration.TransitionSystem` by direct
   construction (``__new__`` + interned states), *never* re-exploring;
@@ -77,25 +77,20 @@ def _vars_material(program):
 
 # -- whole-graph payloads ------------------------------------------------------
 
-def _labeled_rows_of(ts):
-    """(prows, frows, id_of) for any engine's output, deriving them from
-    State-level edges when the scalar engine ran."""
-    if ts._labeled_rows is not None:
-        return ts._labeled_rows
-    id_of = {state: i for i, state in enumerate(ts.states)}
-    prows = [
-        tuple((name, id_of[target]) for name, target in ts.program_edges_from(s))
-        for s in ts.states
-    ]
-    frows = [
-        tuple((name, id_of[target]) for name, target in ts.fault_edges_from(s))
-        for s in ts.states
-    ]
-    return prows, frows, id_of
+#: what unpacking a structurally damaged (but decodable) payload
+#: raises: a missing field, a mistyped one, or an index out of range
+_DAMAGE = (KeyError, IndexError, TypeError, ValueError)
+
+
+def _id_table(n: int) -> Dict[int, int]:
+    """``i -> i`` for every valid id of an ``n``-state table.  Rows are
+    decoded through it, so a target outside the table (negative ones
+    included) raises ``KeyError`` inside the decoding comprehension."""
+    return dict(zip(range(n), range(n)))
 
 
 def _encode_system(ts) -> bytes:
-    prows, frows, _ = _labeled_rows_of(ts)
+    prows, frows, _ = ts._labeled_rows
     schemas: List[Tuple[str, ...]] = []
     schema_idx: Dict[object, int] = {}
     states_out = []
@@ -137,7 +132,11 @@ def _encode_system(ts) -> bytes:
     return _backend.dumps(payload)
 
 
-def _blank_system(program, fault_actions, symmetric: bool):
+def _loaded_system(program, fault_actions, symmetric: bool, states,
+                   n_starts: int, prows, frows):
+    """A :class:`~repro.core.exploration.TransitionSystem` built directly
+    from a state table and its id rows, never re-exploring; State-level
+    edges stay unmaterialized until a consumer asks for them."""
     from ..core.exploration import TransitionSystem
 
     ts = TransitionSystem.__new__(TransitionSystem)
@@ -145,43 +144,58 @@ def _blank_system(program, fault_actions, symmetric: bool):
     ts.symmetry = program.symmetry if symmetric else None
     ts.fault_actions = tuple(fault_actions)
     ts.fault_action_names = frozenset(a.name for a in ts.fault_actions)
-    ts._program_edges = {}
+    ts.start_states = tuple(states[:n_starts])
+    ts._program_edges = dict.fromkeys(states, _EMPTY)
     ts._fault_edges = {}
     ts._satisfying = {}
-    ts._labeled_rows = None
+    ts._labeled_rows = (prows, frows, {s: i for i, s in enumerate(states)})
     ts._edge_arrays = None
-    ts._edges_lazy = False
+    ts._edges_lazy = True
     ts._state_cols = None
     return ts
 
 
 def _decode_system(payload: bytes, program, fault_actions, symmetric: bool):
+    """Rebuild a system from a whole-graph payload, or ``None`` (counted
+    as a ``corrupt`` event) when the payload does not describe one."""
     from ..core.state import Schema, _state_of
 
     data = _backend.try_loads(payload)
-    if not isinstance(data, dict) or data.get("v") != 1:
+    if data is None:
         return None
-    schemas = [Schema.of(names) for names in data["schemas"]]
-    states = [
-        _state_of(schemas[idx], values) for idx, values in data["states"]
-    ]
-    names = data["names"]
-    prows = [
-        tuple((names[ni], target) for ni, target in row)
-        for row in data["prows"]
-    ]
-    frows = [
-        tuple((names[ni], target) for ni, target in row)
-        for row in data["frows"]
-    ]
-    ts = _blank_system(program, fault_actions, symmetric)
-    ts.start_states = tuple(states[: data["n_starts"]])
-    program_edges = ts._program_edges
-    for state in states:
-        program_edges[state] = _EMPTY
-    ts._labeled_rows = (prows, frows, {s: i for i, s in enumerate(states)})
-    ts._edges_lazy = True
-    return ts
+    try:
+        if data["v"] != 1:
+            raise ValueError("unknown payload version")
+        schemas = dict(enumerate(map(Schema.of, data["schemas"])))
+        raw_states = data["states"]
+        states = [
+            _state_of(schemas[idx], values)
+            for idx, values in raw_states
+            if type(values) is tuple and len(values) == len(schemas[idx].names)
+        ]
+        n = len(states)
+        if n != len(raw_states):
+            raise ValueError("state values do not match their schema")
+        prows, frows = data["prows"], data["frows"]
+        if len(prows) != n or len(frows) != n:
+            raise ValueError("row count differs from the state table")
+        name_of = dict(enumerate(data["names"]))
+        ids = _id_table(n)
+        prows, frows = (
+            [tuple((name_of[ni], ids[t]) for ni, t in row) for row in rows]
+            for rows in (prows, frows)
+        )
+        n_starts = data["n_starts"]
+        if not 0 <= n_starts <= n:
+            raise ValueError("more start states than states")
+        ts = _loaded_system(program, fault_actions, symmetric, states,
+                            n_starts, prows, frows)
+        if len(ts.states) != n:
+            raise ValueError("duplicate states in the state table")
+        return ts
+    except _DAMAGE:
+        _backend.record_event("corrupt")
+        return None
 
 
 # -- per-action rows -----------------------------------------------------------
@@ -209,6 +223,25 @@ def _compute_action_rows(action, states: Sequence, id_of: Dict
     return rows
 
 
+def _stored_rows(store, key: str, ids: Dict[int, int]
+                 ) -> Optional[List[Tuple[int, ...]]]:
+    """The id rows stored under ``key`` for the state table that ``ids``
+    (:func:`_id_table`) indexes, or ``None`` for a miss and for a payload
+    that does not hold one in-range row per state (counted as a
+    ``corrupt`` event)."""
+    data = _backend.try_loads(store.get(key))
+    if data is None:
+        return None
+    try:
+        rows = data["rows"]
+        if len(rows) != len(ids):
+            raise ValueError("row count differs from the state table")
+        return [tuple(ids[t] for t in row) for row in rows]
+    except _DAMAGE:
+        _backend.record_event("corrupt")
+        return None
+
+
 def action_rows(store, program, states: Sequence, starts_digest: str, action,
                 ) -> Optional[List[Tuple[int, ...]]]:
     """Get-or-compute the id rows of ``action`` over ``states``.
@@ -218,10 +251,10 @@ def action_rows(store, program, states: Sequence, starts_digest: str, action,
     Returns ``None`` when the action escapes (and records nothing).
     """
     key = _action_rows_key(_vars_material(program), starts_digest, action)
-    data = _backend.try_loads(store.get(key))
-    if data is not None:
+    rows = _stored_rows(store, key, _id_table(len(states)))
+    if rows is not None:
         _backend.record_event("rows_hits")
-        return data["rows"]
+        return rows
     id_of = {state: i for i, state in enumerate(states)}
     rows = _compute_action_rows(action, states, id_of)
     _backend.record_event("rows_computed")
@@ -239,7 +272,7 @@ def _record_action_rows(store, ts) -> None:
     states = list(ts.states)
     if len(states) != len(ts.start_states) or len(states) > ROWS_STATE_LIMIT:
         return
-    prows, frows, _ = _labeled_rows_of(ts)
+    prows, frows, _ = ts._labeled_rows
     starts_digest = _keys.states_digest(states)
     vars_material = _vars_material(ts.program)
     for actions, rows_table in (
@@ -263,7 +296,7 @@ def assemble_system(store, program, starts, fault_actions, symmetric: bool):
     does not hold.  Returns ``None`` whenever the preconditions of the
     closed-system argument do not hold — or when the store holds *no*
     rows for this table at all (a fully cold exploration belongs to the
-    batch engines, which then record the rows as a byproduct; sweeping
+    exploration engines, which record the rows as a byproduct; sweeping
     every action interpretedly here would be strictly slower)."""
     if symmetric or not starts or len(starts) > ROWS_STATE_LIMIT:
         return None
@@ -274,15 +307,14 @@ def assemble_system(store, program, starts, fault_actions, symmetric: bool):
     starts_digest = _keys.states_digest(states)
     vars_material = _vars_material(program)
     all_actions = list(program.actions) + list(fault_actions)
+    ids = _id_table(len(states))
     stored: Dict[str, Optional[List[Tuple[int, ...]]]] = {}
     for action in all_actions:
         key = _action_rows_key(vars_material, starts_digest, action)
-        data = _backend.try_loads(store.get(key))
-        if data is not None:
-            stored[action.name] = data["rows"]
+        rows = _stored_rows(store, key, ids)
+        if rows is not None:
             _backend.record_event("rows_hits")
-        else:
-            stored[action.name] = None
+        stored[action.name] = rows
     if not any(rows is not None for rows in stored.values()):
         return None
     rows_of: Dict[str, List[Tuple[int, ...]]] = {}
@@ -313,13 +345,8 @@ def assemble_system(store, program, starts, fault_actions, symmetric: bool):
             frow.extend((name, t) for t in rows[i])
         frows.append(tuple(frow))
 
-    ts = _blank_system(program, fault_actions, symmetric)
-    ts.start_states = tuple(states)
-    program_edges = ts._program_edges
-    for state in states:
-        program_edges[state] = _EMPTY
-    ts._labeled_rows = (prows, frows, {s: i for i, s in enumerate(states)})
-    ts._edges_lazy = True
+    ts = _loaded_system(program, fault_actions, symmetric, states,
+                        len(states), prows, frows)
     _backend.record_event("graph_reassembled")
     return ts
 
@@ -352,9 +379,10 @@ def load_or_assemble_system(program, starts, fault_actions, max_states: int,
 
 def save_system_artifacts(ts, starts, max_states: int, symmetric: bool) -> None:
     """Record a freshly explored system: the whole-graph artifact plus,
-    for closed systems, the per-action row artifacts."""
+    for closed systems, the per-action row artifacts.  A system without
+    id rows (the interpreted oracle's) is not recorded."""
     store = _backend.active_store()
-    if store is None:
+    if store is None or ts._labeled_rows is None:
         return
     starts_digest = _keys.states_digest(starts)
     key = system_key(ts.program, starts_digest, ts.fault_actions, max_states,

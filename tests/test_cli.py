@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import pickle
 import shutil
 import sqlite3
 import subprocess
@@ -230,7 +231,52 @@ class TestNumpyFallback:
         assert result["out"] == cold_verify["out"]
 
 
+def _out_of_range_system_target(data):
+    n = len(data["states"])
+    for rows in (data["prows"], data["frows"]):
+        for i, row in enumerate(rows):
+            if row:
+                rows[i] = ((row[0][0], n + 5),) + tuple(row[1:])
+                return data
+    return data
+
+
+def _out_of_range_actrows_target(data):
+    rows = data["rows"]
+    for i, row in enumerate(rows):
+        if row:
+            rows[i] = (len(rows) + 5,) + tuple(row[1:])
+            return data
+    return data
+
+
+#: structural damage that still unpickles: (artifact kind, rewrite).
+#: Row damage is tested with the whole-graph entries gone, so that the
+#: graphs are reassembled from the rows.
+_MALFORMED = {
+    "version_only": ("system", lambda data: {"v": 1}),
+    "system_target_out_of_range": ("system", _out_of_range_system_target),
+    "actrows_target_out_of_range": ("actrows", _out_of_range_actrows_target),
+    "actrows_short": ("actrows",
+                      lambda data: {**data, "rows": data["rows"][:-1]}),
+}
+
+
 class TestDamagedStore:
+    """A damaged store entry is detected, recomputed and reported, and
+    overwritten: the check lines equal a run without a store, and the
+    next run is served warm."""
+
+    def _assert_recomputed(self, store, cold_verify):
+        damaged = _probe(["verify", "--all", "--store", store])
+        assert damaged["rc"] == 0
+        assert _check_lines(damaged["out"]) == _check_lines(cold_verify["out"])
+        assert "undecodable entries recomputed" in damaged["out"]
+        healed = _probe(["verify", "--all", "--store", store])
+        assert healed["rc"] == 0
+        assert " 0 misses, 0 puts" in healed["out"]
+        assert "undecodable" not in healed["out"]
+
     def test_truncated_payloads_are_recomputed(
         self, cold_verify, filled_store, tmp_path
     ):
@@ -241,12 +287,46 @@ class TestDamagedStore:
                 "substr(payload, 1, length(payload) / 2)"
             )
             db.commit()
-        damaged = _probe(["verify", "--all", "--store", store])
-        assert damaged["rc"] == 0
-        assert _check_lines(damaged["out"]) == _check_lines(cold_verify["out"])
-        assert "undecodable entries recomputed" in damaged["out"]
-        # recomputed entries overwrote the damaged ones
-        healed = _probe(["verify", "--all", "--store", store])
-        assert healed["rc"] == 0
-        assert " 0 misses, 0 puts" in healed["out"]
-        assert "undecodable" not in healed["out"]
+        self._assert_recomputed(store, cold_verify)
+
+    @pytest.mark.parametrize("damage", sorted(_MALFORMED))
+    def test_malformed_payloads_are_recomputed(
+        self, damage, cold_verify, filled_store, tmp_path
+    ):
+        kind, rewrite = _MALFORMED[damage]
+        store = _copy_store(filled_store, str(tmp_path / "damaged.sqlite"))
+        with closing(sqlite3.connect(store)) as db:
+            entries = db.execute(
+                "SELECT key, payload FROM artifacts WHERE kind = ?", (kind,)
+            ).fetchall()
+            assert entries
+            for key, payload in entries:
+                db.execute(
+                    "UPDATE artifacts SET payload = ? WHERE key = ?",
+                    (pickle.dumps(rewrite(pickle.loads(payload))), key),
+                )
+            if kind == "actrows":
+                db.execute("DELETE FROM artifacts WHERE kind = 'system'")
+            db.commit()
+        self._assert_recomputed(store, cold_verify)
+
+
+class TestBrokenPipe:
+    """A reader that stops early (``repro list | head -1``) ends the
+    call quietly: non-zero exit, no traceback."""
+
+    @pytest.mark.parametrize("argv", [["list"], ["verify", "--all"]],
+                             ids=["list", "verify"])
+    def test_closed_reader_prints_no_traceback(self, argv):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
+        read_end, write_end = os.pipe()
+        child = subprocess.Popen(
+            [sys.executable, "-m", "repro", *argv], env=env,
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+        )
+        os.close(write_end)
+        os.close(read_end)
+        _, stderr = child.communicate(timeout=600)
+        assert "Traceback" not in stderr
+        assert child.returncode != 0

@@ -1,14 +1,18 @@
 """Kernel/interpreted parity and code-space census pins.
 
-The exploration core runs the same BFS through four engines —
-interpreted scalar, compiled batch kernels (pure-python rows or numpy
-columns), the all-array columnar engine, and the sharded fork pool —
-with one contract: which engine ran must be unobservable from the
-finished :class:`~repro.core.exploration.TransitionSystem`.  These
+The exploration core runs the same BFS through three engines — the
+all-array columnar engine, the level engine (compiled batch kernels
+over pure-python rows or numpy columns where actions have them,
+interpreted ``successors`` elsewhere), and the interpreted scalar
+oracle — with one contract: which engine ran must be unobservable from
+the finished :class:`~repro.core.exploration.TransitionSystem`.  These
 tests pin that contract over the bundled program families (programs
-*and* their fault builders), under symmetry quotients, and for every
-worker count, by comparing full graph fingerprints (state order, edge
-tuples, deadlocks) against the interpreted reference.
+*and* their fault builders), under symmetry quotients, and on the
+inputs that take the level engine's uncompiled paths (a fully unplanned
+program, mixed-schema starts, no starts, unplanned faults that repeat a
+successor or add a variable), by comparing full graph fingerprints
+(state order, edge tuples, deadlocks) against the interpreted
+reference.
 
 :func:`~repro.core.kernels.explore_codes` has no interpreted twin (it
 exists for spaces where ``State`` objects are not an option), so it is
@@ -20,22 +24,23 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import kernels
-from repro.core.exploration import (
-    TransitionSystem,
-    clear_all_caches,
-    set_default_workers,
-)
+from repro.core import Action, Predicate, assign, choose, kernels
+from repro.core.exploration import TransitionSystem, clear_all_caches
 from repro.core.kernels import KernelError, Plan, explore_codes
-from repro.core.state import StateInterner, state_space
-from repro.programs import byzantine, memory_access, tmr, token_ring
+from repro.core.state import State, state_space
+from repro.programs import (
+    byzantine,
+    memory_access,
+    mutual_exclusion,
+    tmr,
+    token_ring,
+)
 
 
 @pytest.fixture(autouse=True)
 def _restore_kernel_globals():
     yield
     kernels.set_backend("auto")
-    set_default_workers(None)
     clear_all_caches()
 
 
@@ -55,7 +60,8 @@ def _graph(ts: TransitionSystem):
 def _scenarios():
     """(name, program, starts, faults, symmetric) over the bundled
     families: planned actions, unplanned actions (byzantine lies),
-    fault builders, and a symmetry quotient are all represented."""
+    fault builders, and a symmetry quotient are all represented, as are
+    the inputs no kernel is compiled for."""
     ring = token_ring.build(4)
     yield (
         "token_ring",
@@ -97,20 +103,51 @@ def _scenarios():
         tuple(mem.fault_anytime.actions),
         False,
     )
+    # above the small-space bound, yet no action has a Plan
+    mutex = mutual_exclusion.build()
+    yield (
+        "mutex_unplanned",
+        mutex.multitolerant,
+        list(state_space(mutex.multitolerant.variables)),
+        tuple(mutex.faults.actions),
+        False,
+    )
+    # one start state carries a variable the program does not declare
+    ring_states = list(state_space(ring.ring.variables))
+    yield (
+        "token_ring_mixed_schema",
+        ring.ring,
+        ring_states[:8] + [State(**dict(ring_states[0]), aux=0)],
+        tuple(ring.faults.actions),
+        False,
+    )
+    yield ("token_ring_no_starts", ring.ring, [], tuple(ring.faults.actions),
+           False)
+    # unplanned faults: one offers the same successor twice, one adds a
+    # variable, so later levels mix schemas although the starts do not
+    no_aux = Predicate(lambda s: "aux" not in s, name="no aux")
+    yield (
+        "token_ring_unplanned_faults",
+        ring.ring,
+        ring_states[:16],
+        (
+            Action("reset_twice", no_aux,
+                   choose(assign(x0=0), assign(x0=0))),
+            Action("add_aux", no_aux, lambda s: State(**dict(s), aux=0)),
+        ),
+        False,
+    )
 
 
 SCENARIOS = {name: rest for name, *rest in _scenarios()}
 
 
-def _explored(name: str, backend: str, workers=None):
+def _explored(name: str, backend: str):
     program, starts, faults, symmetric = SCENARIOS[name]
     kernels.set_backend(backend)
     try:
         return _graph(
-            TransitionSystem(
-                program, starts, faults,
-                symmetric=symmetric, workers=workers,
-            )
+            TransitionSystem(program, starts, faults, symmetric=symmetric)
         )
     finally:
         kernels.set_backend("auto")
@@ -125,21 +162,14 @@ def test_kernel_backends_match_interpreted(name, backend):
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
-@pytest.mark.parametrize("workers", [1, 2, 8])
-def test_sharded_graph_identical_for_any_worker_count(name, workers):
-    """The fork-pool engine's merge is deterministic: on every bundled
-    scenario, any worker count (including the degenerate 1) reproduces
-    the in-process graph — with and without a symmetry quotient."""
-    reference = _explored(name, "auto")
-    assert _explored(name, "auto", workers=workers) == reference
-
-
-def test_default_workers_applies_to_new_systems():
-    program, starts, faults, _ = SCENARIOS["token_ring"]
-    reference = _graph(TransitionSystem(program, starts, faults))
-    set_default_workers(2)
-    sharded = _graph(TransitionSystem(program, starts, faults))
-    assert sharded == reference
+def test_only_the_interpreted_oracle_lacks_id_rows(name):
+    """The certificate store records a system from its dense-id rows, so
+    every engine but the interpreted oracle must leave them behind."""
+    program, starts, faults, symmetric = SCENARIOS[name]
+    for backend in ("auto", "pure", "interpreted"):
+        kernels.set_backend(backend)
+        ts = TransitionSystem(program, starts, faults, symmetric=symmetric)
+        assert (ts._labeled_rows is None) == (backend == "interpreted")
 
 
 # ---------------------------------------------------------------------------
@@ -229,40 +259,6 @@ def test_clear_all_caches_drains_kernel_memos():
     assert len(kernels._CODE_KERNELS) == 0
     assert len(kernels._ROW_KERNELS) == 0
     assert len(kernels._LAYOUTS) == 0
-
-
-# ---------------------------------------------------------------------------
-# bulk interning
-# ---------------------------------------------------------------------------
-
-def test_interner_canonical_many_matches_scalar():
-    states = list(state_space(token_ring.build(4).ring.variables))
-    duplicated = states + [s.assign(**dict(s)) for s in states]
-    one = StateInterner()
-    many = StateInterner()
-    scalar = [one.canonical(s) for s in duplicated]
-    bulk = many.canonical_many(duplicated)
-    assert [tuple(s.items()) for s in scalar] == [
-        tuple(s.items()) for s in bulk
-    ]
-    assert len(one) == len(many) == len(states)
-    # representatives are pointer-unique within each pool
-    assert all(a is b for a, b in zip(bulk, many.canonical_many(duplicated)))
-
-
-def test_canonicalizer_canonical_many_matches_scalar():
-    model = token_ring.build(5, 4)
-    states = list(state_space(model.ring.variables))
-    scalar_c = model.ring.symmetry.canonicalizer(model.ring)
-    bulk_c = model.ring.symmetry.canonicalizer(model.ring)
-    scalar = [scalar_c.canonical(s) for s in states]
-    bulk = bulk_c.canonical_many(states)
-    assert [tuple(s.items()) for s in scalar] == [
-        tuple(s.items()) for s in bulk
-    ]
-    assert len(scalar_c) == len(bulk_c)
-    # a second bulk pass returns pooled representatives by identity
-    assert all(a is b for a, b in zip(bulk, bulk_c.canonical_many(states)))
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,8 @@ from ..core.kernels import (
     Plan,
     _compile_effects_pure,
     _compile_guard_pure,
+    guard_support,
+    plan_support,
     row_kernel,
 )
 from ..core.state import State, Variable, _state_of, state_space
@@ -81,52 +83,12 @@ RULE_TRANSLATION = "translation-validation"
 
 # -- syntactic support ---------------------------------------------------------
 
-def guard_support(expr: Tuple) -> FrozenSet[str]:
-    """The variables a guard expression syntactically mentions."""
-    op = expr[0]
-    if op == "true":
-        return frozenset()
-    if op in ("eq_const", "ne_const"):
-        return frozenset((expr[1],))
-    if op in ("eq_var", "ne_var"):
-        return frozenset((expr[1], expr[2]))
-    if op == "all_ne_const":
-        return frozenset(expr[1])
-    if op in ("eq_majority", "ne_majority"):
-        return frozenset((expr[1],)) | frozenset(expr[2])
-    if op == "not":
-        return guard_support(expr[1])
-    # "and" / "or"
-    support: FrozenSet[str] = frozenset()
-    for sub in expr[1:]:
-        support |= guard_support(sub)
-    return support
-
-
-def _effect_sources(effect: Tuple) -> FrozenSet[str]:
-    op = effect[0]
-    if op == "set_const":
-        return frozenset()
-    if op in ("copy", "inc_mod"):
-        return frozenset((effect[2],))
-    return frozenset(effect[2])  # set_majority
-
-
 def plan_targets(plan: Plan) -> Tuple[str, ...]:
     """The variables the plan's effects assign, in effect order, deduped."""
     seen: Dict[str, None] = {}
     for effect in plan.effects:
         seen[effect[1]] = None
     return tuple(seen)
-
-
-def plan_support(plan: Plan) -> FrozenSet[str]:
-    """Every variable the plan mentions (guard, sources, and targets)."""
-    support = guard_support(plan.guard)
-    for effect in plan.effects:
-        support |= _effect_sources(effect)
-        support |= frozenset((effect[1],))
-    return support
 
 
 # -- the finite-domain guard solver --------------------------------------------

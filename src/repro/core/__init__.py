@@ -120,7 +120,7 @@ __all__ = [
     "refines_spec", "refines_program", "violates_spec",
     "start_states_of", "system_from",
     "explored_system", "clear_system_cache", "clear_all_caches",
-    # batch kernels
+    # compiled successor kernels and code-space censuses
     "Plan", "KernelError", "CodeReach", "explore_codes",
     "explore_code_shard", "census_start_codes", "merge_code_reaches",
     "set_backend", "get_backend", "resolved_backend", "clear_kernel_caches",

@@ -143,7 +143,7 @@ class Action:
         self.guard = guard
         self.statement = statement
         #: Optional :class:`repro.core.kernels.Plan` — a flat positional
-        #: description of the guard and assignment that batch kernels
+        #: description of the guard and assignment that successor kernels
         #: compile into whole-frontier evaluators.  Like ``reads`` and
         #: ``writes``, the plan is a *claim*: it must implement exactly
         #: the guard/statement semantics (kernel/interpreted parity is

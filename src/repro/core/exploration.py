@@ -380,10 +380,8 @@ class TransitionSystem:
             return False
         program_actions = self.program.actions
         fault_actions = self.fault_actions
-        kernels_p = [
-            _kernels.batch_kernel(a, layout) for a in program_actions
-        ]
-        kernels_f = [_kernels.batch_kernel(a, layout) for a in fault_actions]
+        kernels_p = [_kernels.code_kernel(a, layout) for a in program_actions]
+        kernels_f = [_kernels.code_kernel(a, layout) for a in fault_actions]
         if any(k is None for k in kernels_p) or any(
             k is None for k in kernels_f
         ):
@@ -398,12 +396,11 @@ class TransitionSystem:
 
         names_p = np.array([a.name for a in program_actions], dtype=object)
         names_f = np.array([a.name for a in fault_actions], dtype=object)
+        #: the current level's packed codes, with ``cols`` their ranks
+        codes = layout.pack_columns(cols)
         #: dense code -> id table; -1 marks never-seen codes
         code_ids = np.full(layout.space, -1, dtype=np.int32)
-        code_ids[layout.pack_columns(cols)] = np.arange(
-            len(starts), dtype=np.int32
-        )
-        states_list: List[State] = list(starts)
+        code_ids[codes] = np.arange(len(starts), dtype=np.int32)
         program_edges_of = self._program_edges
         prows, frows, id_of = self._labeled_rows
         empty = np.empty(0, dtype=np.int64)
@@ -412,17 +409,17 @@ class TransitionSystem:
         col_acc: List = [cols]
         frontier_lo = 0
         while True:
-            n = cols.shape[1]
+            n = codes.shape[0]
             # expand: one kernel call per action over the whole level
             group_arrays = []
             for kernels_g in (kernels_p, kernels_f):
                 srcs, dsts, acts = [empty], [empty], [empty]
                 for pos, kernel in enumerate(kernels_g):
-                    idx, out = kernel(cols)
-                    if out is None:
+                    idx, succ = kernel(codes, cols)
+                    if succ is None:
                         continue
                     srcs.append(idx)
-                    dsts.append(layout.pack_columns(out))
+                    dsts.append(succ)
                     acts.append(np.full(idx.shape[0], pos, dtype=np.int64))
                 group_arrays.append(
                     tuple(np.concatenate(part) for part in (srcs, dsts, acts))
@@ -441,7 +438,7 @@ class TransitionSystem:
             if new_mask.any():
                 uniq, first = np.unique(s_dst[new_mask], return_index=True)
                 new_codes = uniq[np.argsort(first)]
-                next_id = len(states_list)
+                next_id = len(id_of)
                 if next_id + new_codes.shape[0] > max_states:
                     raise RuntimeError(
                         f"state-space exceeds max_states={max_states} "
@@ -450,15 +447,13 @@ class TransitionSystem:
                 code_ids[new_codes] = np.arange(
                     next_id, next_id + new_codes.shape[0], dtype=np.int32
                 )
-                new_cols = layout.columns_from_codes(new_codes)
-                values_of = layout.values_from_column
-                for j in range(new_codes.shape[0]):
-                    state = _state_of(schema, values_of(new_cols, j))
-                    states_list.append(state)
+                unpack = layout.unpack
+                for j, code in enumerate(new_codes.tolist(), next_id):
+                    state = _state_of(schema, unpack(code))
                     program_edges_of[state] = _EMPTY_EDGES
-                    id_of[state] = next_id + j
+                    id_of[state] = j
             else:
-                new_cols = None
+                new_codes = None
 
             # rows: per-state slices of the source-major edge arrays
             views = []
@@ -492,7 +487,7 @@ class TransitionSystem:
                 )
 
             frontier_lo += n
-            if new_cols is None:
+            if new_codes is None:
                 self._edge_arrays = (
                     tuple(np.concatenate(part) for part in zip(*acc_p)),
                     tuple(np.concatenate(part) for part in zip(*acc_f)),
@@ -502,8 +497,9 @@ class TransitionSystem:
                 self._state_cols = (layout, np.hstack(col_acc))
                 self._edges_lazy = True
                 return True
-            col_acc.append(new_cols)
-            cols = new_cols
+            codes = new_codes
+            cols = layout.columns_from_codes(codes)
+            col_acc.append(cols)
 
     def _explore_levels(
         self, max_states: int, canonical, compile_kernels: bool
@@ -514,8 +510,9 @@ class TransitionSystem:
         With ``compile_kernels`` (a state space above
         :data:`_SMALL_SPACE_STATES` and one schema shared by every
         start state), planned actions expand a whole frontier level per
-        kernel call (vectorized over rank columns on the numpy backend,
-        compiled row closures on the pure backend).  Every other action
+        kernel call (:func:`~repro.core.kernels.code_kernel` over the
+        level's packed codes on the numpy backend, compiled row closures
+        on the pure backend).  Every other action
         — unplanned, or every action when nothing is compiled — runs
         through interpreted ``successors`` per state, as does every
         action on a level whose states do not all share that schema."""
@@ -536,7 +533,7 @@ class TransitionSystem:
             if not compile_kernels:
                 return None
             if layout is not None:
-                return _kernels.batch_kernel(action, layout)
+                return _kernels.code_kernel(action, layout)
             return _kernels.row_kernel(action, schema, domains)
 
         groups = [
@@ -558,7 +555,7 @@ class TransitionSystem:
             program_dirty = bytearray(n)
             fault_dirty = bytearray(n)
             # kernels run only on a level of ``schema`` states; on numpy
-            # they read its rank columns
+            # they read its packed codes and rank columns
             batch = compiled and all(
                 state._schema is schema for state in frontier
             )
@@ -570,6 +567,8 @@ class TransitionSystem:
                     # a value escaped its declared domain (start states
                     # are caller-supplied); ranks cannot represent it
                     batch = False
+                else:
+                    codes = layout.pack_columns(cols)
             for group, buckets, dirty in (
                 (groups[0], program_buckets, program_dirty),
                 (groups[1], fault_buckets, fault_dirty),
@@ -587,28 +586,27 @@ class TransitionSystem:
                             for nxt in successors:
                                 bucket.append((name, canonical(nxt, nxt)))
                     elif cols is not None:
-                        idx, out = kernel(cols)
-                        if out is None:
+                        idx, succ = kernel(codes, cols)
+                        if succ is None:
                             continue
-                        codes = layout.pack_columns(out).tolist()
+                        succ = succ.tolist()
                         get = rep_of.get
                         # resolve first (list comp + C-level membership
                         # scan), materialize the rare misses second —
                         # after the opening levels nearly every code is
                         # already interned and the miss pass never runs
-                        reps = [get(code) for code in codes]
+                        reps = [get(code) for code in succ]
                         # identity scan, not ``None in reps``: ``in``
                         # would compare ``None == State`` element-wise,
                         # paying State.__eq__'s Mapping instance check
                         if any(rep is None for rep in reps):
-                            values_of = layout.values_from_column
                             for j, rep in enumerate(reps):
                                 if rep is None:
-                                    code = codes[j]
+                                    code = succ[j]
                                     rep = get(code)
                                     if rep is None:
                                         raw = _state_of(
-                                            schema, values_of(out, j)
+                                            schema, layout.unpack(code)
                                         )
                                         rep = canonical(raw, raw)
                                         rep_of[code] = rep

@@ -1,21 +1,22 @@
-"""Compiled batch successor kernels: whole-frontier action evaluation.
+"""Compiled successor kernels: whole-frontier action evaluation.
 
 Exploration cost in this library is dominated by ``Action.successors``
 — an interpreted Python round trip (guard predicate, statement closure,
 ``State`` allocation, hash) per *(state, action)* pair.  This module
 compiles actions whose authors declare a :class:`Plan` — a flat
-positional description of the guard and the assignment — into *batch
-kernels* that evaluate one action over an entire BFS frontier at once:
+positional description of the guard and the assignment — into kernels
+of two shapes:
 
-- the **numpy backend** represents a frontier as a ``(vars, N)`` matrix
-  of domain *ranks* (a value's position in its declared domain) and
-  evaluates guards/effects as vectorized column arithmetic, packing
-  each successor into a single mixed-radix ``int64`` code for O(1)
-  interning;
-- the **pure backend** compiles the same plan into a per-row closure
-  over raw values-tuples (the ``values_builder`` protocol the region
-  engine and :class:`~repro.core.predicate.Predicate` already speak) —
-  no arrays, no numpy, same semantics;
+- the **numpy backend** (:func:`code_kernel`) evaluates one action over
+  a whole frontier held as packed mixed-radix ``int64`` codes plus their
+  ``(vars, N)`` matrix of domain *ranks* (a value's position in its
+  declared domain): guards are vectorized column arithmetic, and each
+  successor code is its source code plus a stride delta per written
+  variable, so interning and dedup work on codes directly;
+- the **pure backend** (:func:`row_kernel`) compiles the same plan into
+  a per-row closure over raw values-tuples (the ``values_builder``
+  protocol the region engine and :class:`~repro.core.predicate.Predicate`
+  already speak) — no arrays, no numpy, same semantics;
 - actions without a plan (or whose plan does not fit a schema) simply
   fall back to the interpreted ``successors`` path inside the level
   engine's BFS, so kernels are an accelerator, never a constraint.
@@ -52,7 +53,7 @@ Guards::
     ("and", *exprs)  ("or", *exprs)  ("not", expr)
 
 Effects (applied atomically — every right-hand side reads the
-pre-state)::
+pre-state; of several effects on one variable the last one wins)::
 
     ("set_const", name, value)
     ("copy", dst, src)                         # dst := src (values)
@@ -64,9 +65,11 @@ from __future__ import annotations
 
 import importlib.util
 import weakref
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import (
+    Callable, Dict, FrozenSet, Hashable, Iterable, List, Optional, Tuple,
+)
 
-from .state import State, _state_of, state_space
+from .state import State, state_space
 
 __all__ = [
     "ENGINE_VERSION",
@@ -79,8 +82,10 @@ __all__ = [
     "resolved_backend",
     "numpy_available",
     "numpy_module",
+    "guard_support",
+    "plan_support",
     "row_kernel",
-    "batch_kernel",
+    "code_kernel",
     "explore_codes",
     "explore_code_shard",
     "census_start_codes",
@@ -313,11 +318,6 @@ class Layout:
             )
         return strides @ cols
 
-    def values_from_column(self, cols, j: int) -> Tuple[Hashable, ...]:
-        return tuple(
-            domain[cols[i, j]] for i, domain in enumerate(self.domains)
-        )
-
 
 #: (schema, domains signature) -> Layout (or None when unpackable)
 _LAYOUTS: Dict[Tuple, Optional[Layout]] = {}
@@ -343,16 +343,51 @@ def layout_for(schema, domains: Dict[str, Tuple]) -> Optional[Layout]:
     return layout
 
 
-# -- plan compilation: shared validation ---------------------------------------
+# -- plan compilation: support and shared validation ---------------------------
 
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise KernelError(message)
 
 
-def _position(index: Dict[str, int], name: str) -> int:
-    _require(name in index, f"plan names unknown variable {name!r}")
-    return index[name]
+def guard_support(expr: Tuple) -> FrozenSet[str]:
+    """The variables a guard expression syntactically mentions."""
+    op = expr[0]
+    if op == "true":
+        return frozenset()
+    if op in ("eq_const", "ne_const"):
+        return frozenset((expr[1],))
+    if op in ("eq_var", "ne_var"):
+        return frozenset((expr[1], expr[2]))
+    if op == "all_ne_const":
+        return frozenset(expr[1])
+    if op in ("eq_majority", "ne_majority"):
+        return frozenset((expr[1],)) | frozenset(expr[2])
+    if op == "not":
+        return guard_support(expr[1])
+    # "and" / "or"
+    support: FrozenSet[str] = frozenset()
+    for sub in expr[1:]:
+        support |= guard_support(sub)
+    return support
+
+
+def _effect_sources(effect: Tuple) -> FrozenSet[str]:
+    op = effect[0]
+    if op == "set_const":
+        return frozenset()
+    if op in ("copy", "inc_mod"):
+        return frozenset((effect[2],))
+    return frozenset(effect[2])  # set_majority
+
+
+def plan_support(plan: Plan) -> FrozenSet[str]:
+    """Every variable the plan mentions (guard, sources, and targets)."""
+    support = guard_support(plan.guard)
+    for effect in plan.effects:
+        support |= _effect_sources(effect)
+        support |= frozenset((effect[1],))
+    return support
 
 
 def _domain_of(domains: Dict[str, Tuple], name: str) -> Tuple:
@@ -364,20 +399,24 @@ def _domain_of(domains: Dict[str, Tuple], name: str) -> Tuple:
     return domain
 
 
-def _validate_effects(plan: Plan, index, domains: Dict[str, Tuple]) -> None:
+def _validate_plan(plan: Plan, index, domains: Dict[str, Tuple]) -> None:
+    """Raise :class:`KernelError` unless ``plan`` fits a schema (its
+    ``index``) and ``domains``: every variable it names is in the schema,
+    and every effect can represent the values it assigns."""
+    unknown = plan_support(plan).difference(index)
+    _require(
+        not unknown, f"plan names unknown variables {sorted(unknown)!r}"
+    )
     for effect in plan.effects:
         op = effect[0]
         if op == "set_const":
             _, name, value = effect
-            _position(index, name)
             _require(
                 value in _domain_of(domains, name),
                 f"set_const value {value!r} outside domain of {name!r}",
             )
         elif op == "copy":
             _, dst, src = effect
-            _position(index, dst)
-            _position(index, src)
             dst_domain = set(_domain_of(domains, dst))
             _require(
                 all(v in dst_domain for v in _domain_of(domains, src)),
@@ -386,8 +425,6 @@ def _validate_effects(plan: Plan, index, domains: Dict[str, Tuple]) -> None:
             )
         elif op == "inc_mod":
             _, dst, src, m = effect
-            _position(index, dst)
-            _position(index, src)
             expected = tuple(range(m))
             _require(
                 _domain_of(domains, dst) == expected
@@ -395,10 +432,7 @@ def _validate_effects(plan: Plan, index, domains: Dict[str, Tuple]) -> None:
                 f"inc_mod needs 0..{m - 1} domains on {dst!r} and {src!r}",
             )
         elif op == "set_majority":
-            _, dst, names, _k = effect
-            _position(index, dst)
-            for n in names:
-                _position(index, n)
+            dst = effect[1]
             dst_domain = _domain_of(domains, dst)
             _require(
                 0 in dst_domain and 1 in dst_domain,
@@ -406,25 +440,25 @@ def _validate_effects(plan: Plan, index, domains: Dict[str, Tuple]) -> None:
             )
 
 
-def _validate_guard(expr: Tuple, index) -> None:
-    op = expr[0]
-    if op in ("eq_const", "ne_const"):
-        _position(index, expr[1])
-    elif op in ("eq_var", "ne_var"):
-        _position(index, expr[1])
-        _position(index, expr[2])
-    elif op == "all_ne_const":
-        for n in expr[1]:
-            _position(index, n)
-    elif op in ("eq_majority", "ne_majority"):
-        _position(index, expr[1])
-        for n in expr[2]:
-            _position(index, n)
-    elif op in ("and", "or"):
-        for sub in expr[1:]:
-            _validate_guard(sub, index)
-    elif op == "not":
-        _validate_guard(expr[1], index)
+def _compiled(memo, action, key, compile_plan, *args) -> Optional[Callable]:
+    """The kernel ``compile_plan(plan, *args)`` builds for ``action``'s
+    plan, memoized per action under ``key`` — ``None`` when the action
+    has no plan or the plan does not compile (a :class:`KernelError`)."""
+    plan = getattr(action, "plan", None)
+    if plan is None:
+        return None
+    per_action = memo.get(action)
+    if per_action is None:
+        per_action = memo[action] = {}
+    found = per_action.get(key, memo)
+    if found is not memo:
+        return found
+    try:
+        kernel = compile_plan(plan, *args)
+    except KernelError:
+        kernel = None
+    per_action[key] = kernel
+    return kernel
 
 
 # -- pure backend: per-row closures over raw values-tuples ---------------------
@@ -539,42 +573,32 @@ def _compile_effects_pure(plan: Plan, index) -> Callable:
 _ROW_KERNELS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
+def _compile_row(plan: Plan, schema, domains: Dict[str, Tuple]) -> Callable:
+    index = schema.index
+    _validate_plan(plan, index, domains)
+    guard = _compile_guard_pure(plan.guard, index)
+    effects = _compile_effects_pure(plan, index)
+    if guard is None:
+        return effects
+
+    def row(values, guard=guard, effects=effects):
+        if not guard(values):
+            return None
+        return effects(values)
+
+    return row
+
+
 def row_kernel(action, schema, domains: Dict[str, Tuple]) -> Optional[Callable]:
     """A compiled per-row evaluator of ``action``'s plan: values-tuple
     in, successor values-tuple (or ``None`` when disabled) out.  Returns
     ``None`` when the action has no plan or the plan does not fit the
     schema/domains."""
-    plan = getattr(action, "plan", None)
-    if plan is None:
-        return None
-    per_action = _ROW_KERNELS.get(action)
-    if per_action is None:
-        per_action = _ROW_KERNELS[action] = {}
     key = (schema, tuple(domains.get(name) for name in schema.names))
-    found = per_action.get(key, _ROW_KERNELS)
-    if found is not _ROW_KERNELS:
-        return found
-    fn: Optional[Callable] = None
-    try:
-        index = schema.index
-        _validate_guard(plan.guard, index)
-        _validate_effects(plan, index, domains)
-        guard = _compile_guard_pure(plan.guard, index)
-        effects = _compile_effects_pure(plan, index)
-        if guard is None:
-            fn = effects
-        else:
-            def fn(values, guard=guard, effects=effects):
-                if not guard(values):
-                    return None
-                return effects(values)
-    except KernelError:
-        fn = None
-    per_action[key] = fn
-    return fn
+    return _compiled(_ROW_KERNELS, action, key, _compile_row, schema, domains)
 
 
-# -- numpy backend: vectorized guards/effects over rank columns ----------------
+# -- numpy backend: vectorized guards over rank columns, code-delta effects ----
 
 def _rank_or_sentinel(layout: Layout, name: str, value) -> int:
     """The rank of ``value`` in ``name``'s domain, or ``-1`` (no column
@@ -676,104 +700,72 @@ def _compile_guard_numpy(expr: Tuple, layout: Layout) -> Optional[Callable]:
     return disj
 
 
-def _compile_effects_numpy(plan: Plan, layout: Layout) -> Tuple[Callable, ...]:
+def _compile_code(plan: Plan, layout: Layout) -> Callable:
     np = numpy_module()
     index = layout.index
-    steps: List[Callable] = []
-    for effect in plan.effects:
+    _validate_plan(
+        plan, index, dict(zip(layout.schema.names, layout.domains))
+    )
+    guard = _compile_guard_numpy(plan.guard, layout)
+    strides = layout.strides
+    deltas: List[Callable] = []
+    # every delta reads the pre-state, so of several effects on one
+    # variable only the last may contribute (it is the one that wins)
+    last = {effect[1]: effect for effect in plan.effects}
+    for effect in last.values():
         op = effect[0]
         if op == "set_const":
-            p = index[effect[1]]
-            r = layout.ranks[p][effect[2]]
-            steps.append(lambda pre, out, p=p, r=r: out.__setitem__(p, r))
+            d = index[effect[1]]
+            r, st = layout.ranks[d][effect[2]], strides[d]
+            deltas.append(
+                lambda cols, idx, d=d, r=r, st=st:
+                (r - cols[d, idx]) * st
+            )
         elif op == "copy":
             d, s = index[effect[1]], index[effect[2]]
+            st = strides[d]
             if layout.domains[d] == layout.domains[s]:
-                steps.append(
-                    lambda pre, out, d=d, s=s: out.__setitem__(d, pre[s])
+                deltas.append(
+                    lambda cols, idx, d=d, s=s, st=st:
+                    (cols[s, idx] - cols[d, idx]) * st
                 )
             else:
                 lut = _value_lut(layout, effect[2], effect[1])
-                _require(
-                    bool((lut >= 0).all()),
-                    f"copy {effect[2]!r} -> {effect[1]!r}: source domain "
-                    f"not contained in destination domain",
-                )
-                steps.append(
-                    lambda pre, out, d=d, s=s, lut=lut:
-                    out.__setitem__(d, lut[pre[s]])
+                deltas.append(
+                    lambda cols, idx, d=d, s=s, st=st, lut=lut:
+                    (lut[cols[s, idx]] - cols[d, idx]) * st
                 )
         elif op == "inc_mod":
             d, s, m = index[effect[1]], index[effect[2]], effect[3]
-            steps.append(
-                lambda pre, out, d=d, s=s, m=m:
-                out.__setitem__(d, (pre[s] + 1) % m)
+            st = strides[d]
+            deltas.append(
+                lambda cols, idx, d=d, s=s, st=st, m=m:
+                ((cols[s, idx] + 1) % m - cols[d, idx]) * st
             )
         else:  # set_majority
             d = index[effect[1]]
-            r0 = layout.ranks[d][0]
-            r1 = layout.ranks[d][1]
+            r0, r1 = layout.ranks[d][0], layout.ranks[d][1]
+            st = strides[d]
             majority_is_one = _majority_column(layout, effect[2], effect[3])
-            steps.append(
-                lambda pre, out, d=d, r0=r0, r1=r1, m=majority_is_one:
-                out.__setitem__(d, np.where(m(pre), r1, r0))
+            deltas.append(
+                lambda cols, idx, d=d, r0=r0, r1=r1, st=st,
+                m=majority_is_one:
+                (np.where(m(cols)[idx], r1, r0) - cols[d, idx]) * st
             )
-    return tuple(steps)
+    empty = np.empty(0, dtype=np.int64)
 
+    def kernel(codes, cols, guard=guard, deltas=tuple(deltas), empty=empty):
+        if guard is None:
+            idx = np.arange(codes.shape[0], dtype=np.int64)
+        else:
+            idx = np.flatnonzero(guard(cols))
+            if idx.size == 0:
+                return empty, None
+        out = codes[idx]
+        for delta in deltas:
+            out = out + delta(cols, idx)
+        return idx, out
 
-#: action -> {layout: batch kernel or None}
-_BATCH_KERNELS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
-def batch_kernel(action, layout: Layout) -> Optional[Callable]:
-    """A vectorized evaluator of ``action``'s plan over a ``(vars, N)``
-    rank matrix: returns ``(enabled column indices, successor rank
-    matrix)`` — or ``None`` when the action has no plan, the plan does
-    not fit, or numpy is unavailable.
-
-    The successor matrix has one column per enabled source column, in
-    source order, so callers can zip the two results directly.
-    """
-    np = numpy_module()
-    if np is None:
-        return None
-    plan = getattr(action, "plan", None)
-    if plan is None:
-        return None
-    per_action = _BATCH_KERNELS.get(action)
-    if per_action is None:
-        per_action = _BATCH_KERNELS[action] = {}
-    found = per_action.get(layout, _BATCH_KERNELS)
-    if found is not _BATCH_KERNELS:
-        return found
-    kernel: Optional[Callable] = None
-    try:
-        domains = {
-            name: layout.domains[i]
-            for i, name in enumerate(layout.schema.names)
-        }
-        _validate_guard(plan.guard, layout.index)
-        _validate_effects(plan, layout.index, domains)
-        guard = _compile_guard_numpy(plan.guard, layout)
-        steps = _compile_effects_numpy(plan, layout)
-        empty = np.empty(0, dtype=np.int64)
-
-        def kernel(cols, guard=guard, steps=steps, empty=empty):
-            if guard is None:
-                idx = np.arange(cols.shape[1], dtype=np.int64)
-                pre = cols
-            else:
-                idx = np.flatnonzero(guard(cols))
-                if idx.size == 0:
-                    return empty, None
-                pre = cols[:, idx]
-            out = pre.copy()
-            for step in steps:
-                step(pre, out)
-            return idx, out
-    except KernelError:
-        kernel = None
-    per_action[layout] = kernel
     return kernel
 
 
@@ -782,101 +774,22 @@ _CODE_KERNELS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
 def code_kernel(action, layout: Layout) -> Optional[Callable]:
-    """A successor evaluator that stays entirely in code space:
-    ``kernel(codes, cols)`` returns ``(enabled column indices, successor
-    codes)`` — or ``None`` when the action has no compilable plan.
+    """The numpy evaluator of ``action``'s plan, entirely in code space:
+    ``kernel(codes, cols)`` takes a frontier's packed codes and their
+    ``(vars, N)`` rank matrix and returns ``(enabled column indices,
+    successor codes)`` — the successors ``None`` when no column is
+    enabled.  Returns ``None`` when the action has no compilable plan or
+    numpy is unavailable.
 
     Because a plan's effects are per-variable assignments and codes are
     mixed-radix sums, the successor code is the source code plus
     ``(new_rank - old_rank) * stride`` per written variable — no
     successor rank matrix is ever materialized and no repacking happens,
     so the per-edge cost is independent of the number of variables.
-    :func:`explore_codes` prefers this over :func:`batch_kernel`.
     """
-    np = numpy_module()
-    if np is None:
+    if numpy_module() is None:
         return None
-    plan = getattr(action, "plan", None)
-    if plan is None:
-        return None
-    per_action = _CODE_KERNELS.get(action)
-    if per_action is None:
-        per_action = _CODE_KERNELS[action] = {}
-    found = per_action.get(layout, _CODE_KERNELS)
-    if found is not _CODE_KERNELS:
-        return found
-    kernel: Optional[Callable] = None
-    try:
-        index = layout.index
-        domains = {
-            name: layout.domains[i]
-            for i, name in enumerate(layout.schema.names)
-        }
-        _validate_guard(plan.guard, index)
-        _validate_effects(plan, index, domains)
-        guard = _compile_guard_numpy(plan.guard, layout)
-        strides = layout.strides
-        deltas: List[Callable] = []
-        for effect in plan.effects:
-            op = effect[0]
-            if op == "set_const":
-                d = index[effect[1]]
-                r, st = layout.ranks[d][effect[2]], strides[d]
-                deltas.append(
-                    lambda cols, idx, d=d, r=r, st=st:
-                    (r - cols[d, idx]) * st
-                )
-            elif op == "copy":
-                d, s = index[effect[1]], index[effect[2]]
-                st = strides[d]
-                if layout.domains[d] == layout.domains[s]:
-                    deltas.append(
-                        lambda cols, idx, d=d, s=s, st=st:
-                        (cols[s, idx] - cols[d, idx]) * st
-                    )
-                else:
-                    lut = _value_lut(layout, effect[2], effect[1])
-                    deltas.append(
-                        lambda cols, idx, d=d, s=s, st=st, lut=lut:
-                        (lut[cols[s, idx]] - cols[d, idx]) * st
-                    )
-            elif op == "inc_mod":
-                d, s, m = index[effect[1]], index[effect[2]], effect[3]
-                st = strides[d]
-                deltas.append(
-                    lambda cols, idx, d=d, s=s, st=st, m=m:
-                    ((cols[s, idx] + 1) % m - cols[d, idx]) * st
-                )
-            else:  # set_majority
-                d = index[effect[1]]
-                r0, r1 = layout.ranks[d][0], layout.ranks[d][1]
-                st = strides[d]
-                majority_is_one = _majority_column(
-                    layout, effect[2], effect[3]
-                )
-                deltas.append(
-                    lambda cols, idx, d=d, r0=r0, r1=r1, st=st,
-                    m=majority_is_one:
-                    (np.where(m(cols)[idx], r1, r0) - cols[d, idx]) * st
-                )
-        empty = np.empty(0, dtype=np.int64)
-
-        def kernel(codes, cols, guard=guard, deltas=tuple(deltas),
-                   empty=empty):
-            if guard is None:
-                idx = np.arange(codes.shape[0], dtype=np.int64)
-            else:
-                idx = np.flatnonzero(guard(cols))
-                if idx.size == 0:
-                    return empty, None
-            out = codes[idx]
-            for delta in deltas:
-                out = out + delta(cols, idx)
-            return idx, out
-    except KernelError:
-        kernel = None
-    per_action[layout] = kernel
-    return kernel
+    return _compiled(_CODE_KERNELS, action, layout, _compile_code, layout)
 
 
 # -- code-space exploration (million-state BFS, no State objects) --------------
@@ -1141,16 +1054,4 @@ def clear_kernel_caches() -> None:
     Wired into :func:`repro.core.exploration.clear_all_caches`."""
     _LAYOUTS.clear()
     _ROW_KERNELS.clear()
-    _BATCH_KERNELS.clear()
     _CODE_KERNELS.clear()
-
-
-def decode_states(layout: Layout, cols, positions) -> List[State]:
-    """Materialize :class:`State` objects for selected columns of a rank
-    matrix (the slow path of batch exploration: only codes never seen
-    before reach it)."""
-    schema = layout.schema
-    return [
-        _state_of(schema, layout.values_from_column(cols, j))
-        for j in positions
-    ]

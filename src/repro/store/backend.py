@@ -464,11 +464,18 @@ def reset_handles() -> None:
 
 
 def stats() -> Dict[str, int]:
-    """Counters of the active store merged with high-level events."""
+    """Counters of the active store merged with high-level events.
+
+    A payload the store returned but the decoders rejected (a
+    ``corrupt`` event) served nothing, so it counts as a miss, not a
+    hit."""
     merged: Dict[str, int] = dict(EVENTS)
     store = _ACTIVE
     if store is not None:
         merged.update(store.counters())
+        rejected = min(merged.get("corrupt", 0), merged["hits"])
+        merged["hits"] -= rejected
+        merged["misses"] += rejected
     else:
         merged.update(hits=0, misses=0, puts=0, errors=0)
     return merged

@@ -211,7 +211,15 @@ class StoreServer:
                       writer: asyncio.StreamWriter) -> None:
         try:
             while True:
-                request = await self._read_request(reader)
+                try:
+                    request = await self._read_request(reader)
+                except asyncio.CancelledError:
+                    # the server stopped while this keep-alive connection
+                    # was idle.  Return instead of re-raising: Python
+                    # 3.11's stream protocol calls ``task.exception()`` on
+                    # a finished handler, which raises for a cancelled
+                    # one and is logged as an error on every shutdown
+                    break
                 if request is None:
                     break
                 writer.write(await self._handle(*request))

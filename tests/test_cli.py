@@ -4,6 +4,7 @@ import io
 import json
 import os
 import pickle
+import re
 import shutil
 import sqlite3
 import subprocess
@@ -262,6 +263,16 @@ _MALFORMED = {
 }
 
 
+def _store_counts(text: str) -> dict:
+    """``hits``/``misses``/``puts``/``undecodable`` of a ``store:`` line."""
+    line = next(l for l in text.splitlines() if l.startswith("store:"))
+    counts = {"undecodable": 0}
+    for number, word in re.findall(r"(\d+) (hits|misses|puts|undecodable)",
+                                   line):
+        counts[word] = int(number)
+    return counts
+
+
 class TestDamagedStore:
     """A damaged store entry is detected, recomputed and reported, and
     overwritten: the check lines equal a run without a store, and the
@@ -272,10 +283,14 @@ class TestDamagedStore:
         assert damaged["rc"] == 0
         assert _check_lines(damaged["out"]) == _check_lines(cold_verify["out"])
         assert "undecodable entries recomputed" in damaged["out"]
+        # a rejected payload served nothing: it is a miss, not a hit
+        counts = _store_counts(damaged["out"])
+        assert counts["misses"] >= counts["undecodable"] > 0
         healed = _probe(["verify", "--all", "--store", store])
         assert healed["rc"] == 0
         assert " 0 misses, 0 puts" in healed["out"]
         assert "undecodable" not in healed["out"]
+        return counts
 
     def test_truncated_payloads_are_recomputed(
         self, cold_verify, filled_store, tmp_path
@@ -287,7 +302,16 @@ class TestDamagedStore:
                 "substr(payload, 1, length(payload) / 2)"
             )
             db.commit()
-        self._assert_recomputed(store, cold_verify)
+        counts = self._assert_recomputed(store, cold_verify)
+        # with every entry undecodable the run counts exactly what
+        # filling an empty store counts
+        empty = _probe(
+            ["verify", "--all", "--store", str(tmp_path / "empty.sqlite")]
+        )
+        assert counts == _store_counts(empty["out"]) | {
+            "undecodable": counts["misses"]
+        }
+
 
     @pytest.mark.parametrize("damage", sorted(_MALFORMED))
     def test_malformed_payloads_are_recomputed(

@@ -526,3 +526,21 @@ class TestObservability:
             assert queues["campaign"]["depth"] == 0
             line = srv.server.stats_line()
             assert "campaign:" in line and "leased 1" in line
+
+    def test_stop_with_idle_keep_alive_connection_logs_nothing(self, caplog):
+        """Stopping the server while a keep-alive connection waits for
+        its next request ends that handler quietly: asyncio logs no
+        ``CancelledError`` from the connection's done callback."""
+        with caplog.at_level("WARNING", logger="asyncio"):
+            with ServerThread() as srv:
+                conn = socket.create_connection(
+                    ("127.0.0.1", srv.server.port), timeout=5
+                )
+                conn.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+                assert conn.recv(4096).startswith(b"HTTP/1.1 200")
+            # the server stopped while the connection sat idle
+            conn.close()
+        assert not [
+            record for record in caplog.records
+            if record.name == "asyncio"
+        ], [record.getMessage() for record in caplog.records]
